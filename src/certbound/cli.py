@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .assessment import aggregate_fault_freeness
 from .fleet import BootstrapTrace, check_feasibility, run_bootstrap
 from .inference import posterior_predictive_discrete, sweep, worst_case_survival
-from .reliability import MixtureModel, monte_carlo_survival, survival_probability
+from .reliability import MixtureModel, Probability, monte_carlo_survival, survival_probability
 from .scenario import (
     ScenarioFile,
     ScenarioIOError,
@@ -84,7 +84,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         p_nf, r, n_values = float(model.p_nf), evidence.r, query.values()
         prior = scenario.prior
     else:
-        p_nf = _require(args.p_nf, "--p-nf", "pass it inline or use --scenario")
+        p_nf = Probability(_require(args.p_nf, "--p-nf", "pass it inline or use --scenario"))
         r = _require(args.r, "--r", "pass it inline or use --scenario")
         n_values = (_require(args.n, "--n", "pass it inline or use --scenario"),)
         prior = None

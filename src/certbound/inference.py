@@ -42,17 +42,8 @@ __all__ = [
     "sweep",
 ]
 
-# Coarse bracketing scan for the optimizer: points log-spaced in q and in 1-q.
-_SCAN_POINTS_PER_SIDE = 500
-_SCAN_Q_FLOOR = 1e-18
-
 # Brute-force oracle grid runs log-spaced over [_GRID_Q_MIN, 1] plus {0, 1}.
 _GRID_Q_MIN = 1e-15
-
-# Candidates whose value is within this of the minimum count as ties.
-_TIE_TOL = 1e-12
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class DegenerateConditioningError(ValueError):
@@ -166,6 +157,28 @@ def _evidence_count(r: "int | Evidence") -> int:
     return check_demand_count(r, "r")
 
 
+def _log_add_exp(u: float, v: float) -> float:
+    """log(exp(u) + exp(v)) for scalars, without overflow."""
+    if u < v:
+        u, v = v, u
+    if v == -math.inf:
+        return u
+    return u + math.log1p(math.exp(v - u))
+
+
+def _log_g(a: float, x: float, r: int, n: int) -> float:
+    """log g at x = log(1 - q), for a in (0, 1).
+
+    Taking x rather than q keeps 1 - q representable when it underflows
+    against 1, e.g. 1 - q ~ 1e-150 at p_nf = 1e-300, r = n = 1.
+    """
+    log_a = math.log(a)
+    log_b = math.log1p(-a)
+    log_num = _log_add_exp(log_a, log_b + (r + n) * x)
+    log_den = _log_add_exp(log_a, log_b + r * x)
+    return log_num - log_den
+
+
 def _log_point_predictive(a: float, q: float, r: int, n: int) -> tuple[float, bool]:
     """log g(q) for the point-mass prior, plus a degenerate-conditioning flag."""
     if n == 0 or q == 0.0 or a == 1.0:
@@ -178,12 +191,7 @@ def _log_point_predictive(a: float, q: float, r: int, n: int) -> tuple[float, bo
         return -math.inf, True  # q -> 1 limit of (1 - q)**n, n >= 1
     if a == 0.0:
         return n * math.log1p(-q), False
-    log_a = math.log(a)
-    log_b = math.log1p(-a)
-    lu = math.log1p(-q)
-    log_num = np.logaddexp(log_a, log_b + (r + n) * lu)
-    log_den = np.logaddexp(log_a, log_b + r * lu)
-    return float(log_num - log_den), False
+    return _log_g(a, math.log1p(-q), r, n), False
 
 
 def _log_predictive_vec(a: float, q: np.ndarray, r: int, n: int) -> np.ndarray:
@@ -222,48 +230,28 @@ def predictive_given_point_prior(
     return PointPredictive(min(1.0, math.exp(log_g)), degenerate)
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200):
-    """Golden-section minimum of a unimodal f on [lo, hi]; returns (x, f(x))."""
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if abs(b - a) <= tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
-
-
 def _stationarity_root(a: float, r: int, n: int) -> float:
-    """Location q* of the unique interior minimum of g, for a in (0,1), r,n >= 1.
+    """x* = log(1 - q*) at the unique interior minimum of g, for a in (0,1), r,n >= 1.
 
-    Clearing denominators in g'(q) = 0 gives, with u = 1 - q and b = 1 - a,
+    Clearing denominators in g'(q) = 0 and dividing by a*r gives, with
+    u = 1 - q and b = 1 - a,
 
-        a*(r + n)*u**n + b*n*u**(r + n) = a*r
+        (1 + n/r)*u**n + (b/a)*(n/r)*u**(r + n) = 1
 
     whose left side increases monotonically in u, so the root is found by
-    bisection on x = log u.  Accuracy in x is pushed to float resolution so
-    the stationarity residual stays negligible even for n ~ 10**9.
+    bisection on x = log u.  Scaled this way both sides are O(1), so the
+    comparison keeps its resolution when r >> n.  Accuracy in x is pushed to
+    float resolution so the stationarity residual stays negligible even for
+    n ~ 10**9.
     """
-    log_a = math.log(a)
-    log_b = math.log1p(-a)
-    log_rhs = log_a + math.log(r)
-    c1 = log_a + math.log(r + n)
-    c2 = log_b + math.log(n)
+    c1 = math.log1p(n / r)
+    c2 = math.log1p(-a) - math.log(a) + math.log(n) - math.log(r)
 
     def above(x: float) -> bool:
-        return np.logaddexp(c1 + n * x, c2 + (r + n) * x) > log_rhs
+        return _log_add_exp(c1 + n * x, c2 + (r + n) * x) > 0.0
 
     # At x_hi the first term alone equals the right side, so the sign is positive.
-    x_hi = (math.log(r) - math.log(r + n)) / n
+    x_hi = -c1 / n
     step = max(1.0, abs(x_hi))
     x_lo = x_hi - step
     while above(x_lo):
@@ -279,13 +267,7 @@ def _stationarity_root(a: float, r: int, n: int) -> float:
             x_hi = mid
         else:
             x_lo = mid
-    return -math.expm1(x_hi)  # q* = 1 - exp(x)
-
-
-def _scan_grid() -> np.ndarray:
-    lo = np.geomspace(_SCAN_Q_FLOOR, 0.5, _SCAN_POINTS_PER_SIDE)
-    hi = 1.0 - np.geomspace(0.5, _SCAN_Q_FLOOR, _SCAN_POINTS_PER_SIDE)
-    return np.unique(np.concatenate([lo, hi]))  # in (0, 1]; near-1 values collapse onto 1.0
+    return x_hi
 
 
 def _prediction(value: float, q: float, p_nf: float, r: int, n: int) -> SurvivalPrediction:
@@ -304,11 +286,12 @@ def worst_case_survival(p_nf: float, r: "int | Evidence", n: int) -> SurvivalPre
 
     This is the guaranteed-conservative bound: no prior consistent with the
     given p_nf can yield a lower posterior predictive survival probability.
-    With r = 0 the minimum sits at q = 1 and equals the p_nf floor; otherwise
-    the interior minimizer is bracketed by a coarse log-spaced scan, refined
-    by golden section, and cross-checked against the stationarity root, which
-    is preferred when the values tie.  The returned bound is within 1e-10 of
-    the true minimum.
+    With r = 0 the minimum sits at q = 1 and equals the p_nf floor.  For
+    p_nf in (0, 1) and r, n >= 1, g(0) = g(1) = 1 and g dips below 1 in
+    between, where g'(q) = 0 has exactly one root; so that stationary point
+    is the global minimum and is returned directly.  The root is found in
+    x = log(1 - q) and g is evaluated at x, so the bound stays accurate where
+    1 - q underflows against 1.
     """
     a = Probability(p_nf)
     r = _evidence_count(r)
@@ -321,44 +304,9 @@ def worst_case_survival(p_nf: float, r: "int | Evidence", n: int) -> SurvivalPre
     if a == 0.0:
         return _prediction(0.0, 1.0, a, r, n)
 
-    qs = _scan_grid()
-    logg = _log_predictive_vec(float(a), qs, r, n)
-    i = int(np.argmin(logg))
-    candidates: list[tuple[float, float]] = [
-        (1.0, 0.0),  # g(0) = 1
-        (1.0, 1.0),  # g(1) = 1 for a > 0, r >= 1
-        (math.exp(float(logg[i])), float(qs[i])),
-    ]
-
-    lo_i, hi_i = max(i - 1, 0), min(i + 1, len(qs) - 1)
-
-    def g_scalar(q: float) -> float:
-        return _log_point_predictive(float(a), q, r, n)[0]
-
-    if qs[i] <= 0.5:
-        x, fx = _golden_min(
-            lambda x: g_scalar(math.exp(x)), math.log(qs[lo_i]), math.log(qs[hi_i])
-        )
-        candidates.append((math.exp(fx), math.exp(x)))
-    else:
-        u_lo = max(1.0 - qs[hi_i], 1e-20)
-        u_hi = 1.0 - qs[lo_i]
-        x, fx = _golden_min(
-            lambda x: g_scalar(-math.expm1(x)), math.log(u_lo), math.log(u_hi)
-        )
-        candidates.append((math.exp(fx), -math.expm1(x)))
-
-    q_root = _stationarity_root(float(a), r, n)
-    root_value = math.exp(g_scalar(q_root))
-    candidates.append((root_value, q_root))
-
-    best = min(v for v, _ in candidates)
-    if root_value <= best + _TIE_TOL:
-        # The stationary point is the unique interior minimizer; prefer it so the
-        # reported q satisfies the derivative condition, not just the value.
-        return _prediction(root_value, q_root, a, r, n)
-    value, q = min((v, q) for v, q in candidates if v <= best + _TIE_TOL)
-    return _prediction(value, q, a, r, n)
+    x = _stationarity_root(float(a), r, n)
+    value = math.exp(_log_g(float(a), x, r, n))
+    return _prediction(value, -math.expm1(x), a, r, n)
 
 
 def grid_worst_case(p_nf: float, r: "int | Evidence", n: int, K: int) -> SurvivalPrediction:

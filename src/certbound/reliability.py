@@ -54,6 +54,8 @@ class Probability(float):
         v = float(value)
         if not math.isfinite(v) or not 0.0 <= v <= 1.0:
             raise ValueError(f"probability must be finite and in [0, 1], got {value!r}")
+        if v == 0.0:
+            v = 0.0  # -0.0 would print as "-0"
         return super().__new__(cls, v)
 
     @property

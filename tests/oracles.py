@@ -52,3 +52,61 @@ def minimize_point_predictive_mp(p_nf, r, n, iterations=300):
             lo = m1
     lq = (lo + hi) / 2
     return f(lq), mp.exp(lq)
+
+
+def point_predictive_log1m_mp(p_nf, x, r, n):
+    """The single-atom posterior predictive at x = log(1 - q), exactly."""
+    a = mp.mpf(p_nf)
+    b = 1 - a
+    return (a + b * mp.exp((r + n) * x)) / (a + b * mp.exp(r * x))
+
+
+def minimize_point_predictive_log1m_mp(p_nf, r, n, iterations=200):
+    """Golden-section search in t = log(-x), x = log(1 - q), for the minimum
+    of the single-atom predictive.  Returns (value, x).
+
+    Searching in log(-x) rather than log q reaches minimizers where 1 - q is
+    far below float resolution (1 - q ~ 1e-150 at p_nf = 1e-300, r = n = 1)
+    as well as those at q ~ 1e-13.  The bracket -x in [1e-20, 1e4] covers
+    p_nf in [1e-300, 1) and r, n in [1, 10**12].  Far out in x the predictive
+    is flat at 1 to 60 digits, so ties move the search towards smaller -x,
+    where the minimum is.
+    """
+    f = lambda t: point_predictive_log1m_mp(p_nf, -mp.exp(t), r, n)
+    inv_phi = (mp.sqrt(5) - 1) / 2
+    lo, hi = mp.log(mp.mpf("1e-20")), mp.log(mp.mpf("1e4"))
+    m1, m2 = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    f1, f2 = f(m1), f(m2)
+    for _ in range(iterations):
+        if f1 <= f2:
+            hi, m2, f2 = m2, m1, f1
+            m1 = hi - inv_phi * (hi - lo)
+            f1 = f(m1)
+        else:
+            lo, m1, f1 = m1, m2, f2
+            m2 = lo + inv_phi * (hi - lo)
+            f2 = f(m2)
+    t = (lo + hi) / 2
+    return f(t), -mp.exp(t)
+
+
+def stationarity_root_mp(p_nf, r, n, iterations=300):
+    """q at the interior root of a*(r+n)*u**n + b*n*u**(r+n) = a*r, u = 1 - q.
+
+    Bisection in x = log u on the undivided equation; the left side
+    increases with x and exceeds a*r at x = log(r / (r + n)) / n.
+    """
+    a = mp.mpf(p_nf)
+    b = 1 - a
+    F = lambda x: a * (r + n) * mp.exp(n * x) + b * n * mp.exp((r + n) * x) - a * r
+    hi = mp.log(mp.mpf(r) / (r + n)) / n
+    lo = hi - 1
+    while F(lo) > 0:
+        lo = hi - 2 * (hi - lo)
+    for _ in range(iterations):
+        mid = (lo + hi) / 2
+        if F(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return -mp.expm1((lo + hi) / 2)

@@ -75,6 +75,12 @@ class TestPredict:
         code, _ = run(capsys, "predict", "--p-nf", "0.9", "--r", "0")
         assert code == 4
 
+    def test_negative_zero_prints_as_zero(self, capsys):
+        code, out = run(capsys, "predict", "--p-nf=-0.0", "--r", "10", "--n", "5")
+        assert code == 0
+        assert grep(out, "lower bound").split(":")[-1].strip() == "0"
+        assert "-0" not in out
+
     def test_out_of_range_inline_value(self, capsys):
         code, _ = run(capsys, "predict", "--p-nf", "1.5", "--r", "0", "--n", "10")
         assert code == 4

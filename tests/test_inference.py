@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from certbound.inference import (
@@ -18,9 +18,23 @@ from certbound.inference import (
 )
 from certbound.reliability import MixtureModel, survival_probability
 
-from oracles import discrete_predictive_mp, minimize_point_predictive_mp, point_predictive_mp
+from oracles import (
+    discrete_predictive_mp,
+    minimize_point_predictive_log1m_mp,
+    minimize_point_predictive_mp,
+    point_predictive_mp,
+    stationarity_root_mp,
+)
 
 probabilities = st.floats(min_value=0.0, max_value=1.0)
+
+# The domain the README claims: p_nf down to 1e-300 and within 1e-15 of 1
+# (log-uniform in p_nf and in 1 - p_nf), demand counts log-uniform up to 10**12.
+extreme_p_nf = st.one_of(
+    st.floats(min_value=-300.0, max_value=math.log10(0.5)).map(lambda e: 10.0**e),
+    st.floats(min_value=-15.0, max_value=math.log10(0.5)).map(lambda e: 1.0 - 10.0**e),
+)
+extreme_counts = st.floats(min_value=0.0, max_value=12.0).map(lambda e: int(round(10.0**e)))
 
 # Frozen from the mpmath oracles (60-digit evaluation, see oracles.py):
 #   point_predictive_mp(0.9, 1e-3, 1e3, 1e4)        = 0.9607503448749972381
@@ -160,7 +174,37 @@ class TestWorstCase:
             pred = worst_case_survival(p_nf, r, n)
             q = float(pred.worst_case_q)
             if 0.0 < q < 1.0:
-                assert stationarity_residual(p_nf, q, r, n) <= 1e-6, (p_nf, r, n, q)
+                assert stationarity_residual(p_nf, q, r, n) <= 1e-12, (p_nf, r, n, q)
+
+    @given(
+        extreme_p_nf, extreme_p_nf,
+        extreme_counts, extreme_counts, extreme_counts, extreme_counts,
+    )
+    @example(1e-300, 1e-300, 1, 1, 1, 1)
+    @example(1.0 - 1e-15, 1.0 - 1e-15, 10**12, 10**12, 1, 1)
+    @settings(max_examples=40, deadline=None)
+    def test_extreme_domain(self, p_nf, p_nf2, r, r2, n, n2):
+        bound = float(worst_case_survival(p_nf, r, n).lower_bound)
+        minimum, _ = minimize_point_predictive_log1m_mp(p_nf, r, n)
+        assert bound <= float(minimum) + 1e-10, (p_nf, r, n, bound, minimum)
+        assert bound >= p_nf
+        lo_p, hi_p = sorted((p_nf, p_nf2))
+        lo_r, hi_r = sorted((r, r2))
+        lo_n, hi_n = sorted((n, n2))
+        bound_at = lambda p, rr, nn: float(worst_case_survival(p, rr, nn).lower_bound)
+        assert bound_at(lo_p, r, n) <= bound_at(hi_p, r, n) + 1e-10
+        assert bound_at(p_nf, lo_r, n) <= bound_at(p_nf, hi_r, n) + 1e-10
+        assert bound_at(p_nf, r, lo_n) >= bound_at(p_nf, r, hi_n) - 1e-10
+
+    @pytest.mark.parametrize(
+        "p_nf,r,n",
+        [(0.9, 10**14, 1), (0.9, 10**15, 3), (0.9, 2**60, 1), (0.999999, 10**12, 1)],
+    )
+    def test_worst_case_q_when_evidence_dwarfs_exposure(self, p_nf, r, n):
+        q = float(worst_case_survival(p_nf, r, n).worst_case_q)
+        expected = stationarity_root_mp(p_nf, r, n)
+        assert q > 0.0
+        assert float(abs(q - expected) / expected) <= 1e-12, (q, expected)
 
     @given(
         probabilities,

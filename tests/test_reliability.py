@@ -32,6 +32,9 @@ class TestProbability:
     def test_accepts_unit_interval(self, p):
         assert float(Probability(p)) == p
 
+    def test_negative_zero_is_normalised(self):
+        assert math.copysign(1.0, Probability(-0.0)) == 1.0
+
     def test_log_views(self):
         assert Probability(0.0).log == -math.inf
         assert Probability(1.0).log == 0.0
