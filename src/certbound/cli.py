@@ -6,8 +6,13 @@ their own: ``predict`` (conservative worst-case bound), ``survival``
 ``bootstrap`` (fleet simulation plus feasibility verdict), ``assess``
 (objective-group aggregation) and ``sweep`` (grid of worst-case bounds).
 
+Each subcommand reads its inputs either from ``--scenario`` or from inline
+value flags, never both; inline values pass the same schema checks as a
+scenario file before anything is printed.
+
 Exit codes: 0 success; 1 a bootstrap verdict failed its threshold; 2 scenario
-I/O error; 3 scenario syntax error; 4 validation error.
+I/O error; 3 scenario syntax error; 4 validation error; 5 usage error (bad or
+missing arguments, reported by argparse).
 """
 
 from __future__ import annotations
@@ -20,13 +25,14 @@ from typing import Optional, Sequence
 from .assessment import aggregate_fault_freeness
 from .fleet import BootstrapTrace, check_feasibility, run_bootstrap
 from .inference import posterior_predictive_discrete, sweep, worst_case_survival
-from .reliability import MixtureModel, Probability, monte_carlo_survival, survival_probability
+from .reliability import monte_carlo_survival, survival_probability
 from .scenario import (
     ScenarioFile,
     ScenarioIOError,
     ScenarioSyntaxError,
     ScenarioValidationError,
     parse_scenario,
+    scenario_from_mapping,
 )
 
 SWEEP_CSV_HEADER = ["p_nf", "r", "n", "lower_bound", "worst_case_q", "excess_over_floor"]
@@ -44,6 +50,7 @@ EXIT_THRESHOLD_MISS = 1
 EXIT_IO_ERROR = 2
 EXIT_SYNTAX_ERROR = 3
 EXIT_VALIDATION_ERROR = 4
+EXIT_USAGE_ERROR = 5
 
 
 def format_probability(p: float) -> str:
@@ -56,16 +63,26 @@ def format_probability(p: float) -> str:
     return text
 
 
-def _load(args: argparse.Namespace) -> Optional[ScenarioFile]:
-    if getattr(args, "scenario", None) is None:
-        return None
-    return parse_scenario(args.scenario)
-
-
-def _require(value, what: str, hint: str):
-    if value is None:
-        raise ScenarioValidationError(f"{what} is required; {hint}")
-    return value
+def _resolve(args: argparse.Namespace) -> ScenarioFile:
+    """The subcommand's inputs: the --scenario file, or else the inline value
+    flags validated by the same schema.  Either way every section the
+    subcommand reads is present."""
+    given = [dest for dest in args.inline if getattr(args, dest) is not None]
+    if args.scenario is not None:
+        if given:
+            flags = ", ".join("--" + dest.replace("_", "-") for dest in given)
+            raise ScenarioValidationError(f"--scenario cannot be combined with {flags}")
+        scenario = parse_scenario(args.scenario)
+    else:
+        raw = {section: {} for section, _ in args.inline.values()}
+        for dest in given:
+            section, key = args.inline[dest]
+            raw[section][key] = getattr(args, dest)
+        scenario = scenario_from_mapping(raw)
+    missing = [name for name in args.sections if getattr(scenario, name) is None]
+    if missing:
+        raise ScenarioValidationError(f"{args.command}: the scenario lacks sections {missing}")
+    return scenario
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -76,51 +93,32 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    scenario = _load(args)
-    if scenario is not None:
-        model = _require(scenario.model, "model section", "predict reads p_nf from model")
-        evidence = _require(scenario.evidence, "evidence section", "predict needs r")
-        query = _require(scenario.query, "query section", "predict needs n or n_grid")
-        p_nf, r, n_values = float(model.p_nf), evidence.r, query.values()
-        prior = scenario.prior
-    else:
-        p_nf = Probability(_require(args.p_nf, "--p-nf", "pass it inline or use --scenario"))
-        r = _require(args.r, "--r", "pass it inline or use --scenario")
-        n_values = (_require(args.n, "--n", "pass it inline or use --scenario"),)
-        prior = None
+    scenario = _resolve(args)
+    p_nf, r = float(scenario.model.p_nf), scenario.evidence.r
 
     print("conservative prediction of failure-free operation")
     print(f"  assessed p_nf : {format_probability(p_nf)}")
     print(f"  evidence r    : {r}")
-    for n in n_values:
+    for n in scenario.query.values():
         pred = worst_case_survival(p_nf, r, n)
         print(f"  n = {n}:")
         print(f"    lower bound       : {format_probability(pred.lower_bound)}")
         print(f"    worst-case q      : {format_probability(pred.worst_case_q)}")
         print(f"    excess over floor : {pred.excess_over_floor:.12g}")
-        if prior is not None:
-            exact = posterior_predictive_discrete(prior, r, n)
+        if scenario.prior is not None:
+            exact = posterior_predictive_discrete(scenario.prior, r, n)
             print(f"    supplied-prior predictive : {format_probability(exact)}")
     return 0
 
 
 def cmd_survival(args: argparse.Namespace) -> int:
-    scenario = _load(args)
-    if scenario is not None:
-        model_section = _require(scenario.model, "model section", "survival needs the mixture model")
-        model = model_section.mixture()
-        query = _require(scenario.query, "query section", "survival needs n or n_grid")
-        n_values = query.values()
-    else:
-        p_nf = _require(args.p_nf, "--p-nf", "pass it inline or use --scenario")
-        p_fail = _require(args.p_fail, "--p-fail", "pass it inline or use --scenario")
-        model = MixtureModel(p_nf=p_nf, p_f_given_faulty=p_fail)
-        n_values = (_require(args.n, "--n", "pass it inline or use --scenario"),)
+    scenario = _resolve(args)
+    model = scenario.model.mixture()
 
     print("survival probability under the two-component model")
     print(f"  p_nf             : {format_probability(model.p_nf)}")
     print(f"  p_f_given_faulty : {format_probability(model.p_f_given_faulty)}")
-    for n in n_values:
+    for n in scenario.query.values():
         value = survival_probability(model, n)
         print(f"  n = {n}: {format_probability(value)}")
         if args.mc_trials:
@@ -144,9 +142,7 @@ def _print_trace(trace: BootstrapTrace) -> None:
 
 
 def cmd_bootstrap(args: argparse.Namespace) -> int:
-    scenario = parse_scenario(args.scenario)
-    fleet = _require(scenario.bootstrap, "bootstrap section", "the scenario must define the fleet run")
-    trace = run_bootstrap(fleet)
+    trace = run_bootstrap(_resolve(args).bootstrap)
     verdict = check_feasibility(trace)
 
     print("fleet bootstrap run")
@@ -178,8 +174,7 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
 
 
 def cmd_assess(args: argparse.Namespace) -> int:
-    scenario = parse_scenario(args.scenario)
-    spec = _require(scenario.assessment, "assessment section", "assess needs objective groups")
+    spec = _resolve(args).assessment
     result = aggregate_fault_freeness(spec.groups, spec.mode)
     objectives = sum(g.objective_count for g in spec.groups)
     print(f"assessed groups   : {len(spec.groups)} ({objectives} objectives)")
@@ -199,16 +194,8 @@ def _comma_ints(text: str) -> list[int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = _load(args)
-    if scenario is not None:
-        grids = _require(scenario.sweep, "sweep section", "the scenario must define the grids")
-        p_nf_grid, r_grid, n_grid = list(grids.p_nf), list(grids.r), list(grids.n)
-    else:
-        p_nf_grid = _require(args.p_nf, "--p-nf", "comma-separated list, or use --scenario")
-        r_grid = _require(args.r, "--r", "comma-separated list, or use --scenario")
-        n_grid = _require(args.n, "--n", "comma-separated list, or use --scenario")
-
-    rows = sweep(p_nf_grid, r_grid, n_grid)
+    grids = _resolve(args).sweep
+    rows = sweep(list(grids.p_nf), list(grids.r), list(grids.n))
     print(f"{'p_nf':>10} {'r':>12} {'n':>12} {'lower_bound':>18} {'worst_case_q':>14} {'excess':>12}")
     for row in rows:
         print(
@@ -235,8 +222,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors with EXIT_USAGE_ERROR, not argparse's 2, which is
+    EXIT_IO_ERROR here.  Subparsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="certbound",
         description="Conservative survival bounds for software certification.",
     )
@@ -247,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-nf", dest="p_nf", type=float, help="assessed fault-freeness probability")
     p.add_argument("--r", type=int, help="observed failure-free demands")
     p.add_argument("--n", type=int, help="future demands to predict over")
-    p.set_defaults(func=cmd_predict)
+    p.set_defaults(func=cmd_predict, sections=("model", "evidence", "query"),
+                   inline={"p_nf": ("model", "p_nf"), "r": ("evidence", "r"), "n": ("query", "n")})
 
     p = sub.add_parser("survival", help="mixture-model survival probability")
     p.add_argument("--scenario", help="scenario file (model, query sections)")
@@ -257,16 +254,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-trials", dest="mc_trials", type=int, default=0,
                    help="also run a Monte Carlo cross-check with this many trials")
     p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
-    p.set_defaults(func=cmd_survival)
+    p.set_defaults(func=cmd_survival, sections=("model", "query"),
+                   inline={"p_nf": ("model", "p_nf"), "p_fail": ("model", "p_f_given_faulty"),
+                           "n": ("query", "n")})
 
     p = sub.add_parser("bootstrap", help="run a fleet bootstrap scenario")
     p.add_argument("--scenario", required=True, help="scenario file with a bootstrap section")
     p.add_argument("--csv", help="write the per-window trace to this CSV file")
-    p.set_defaults(func=cmd_bootstrap)
+    p.set_defaults(func=cmd_bootstrap, sections=("bootstrap",), inline={})
 
     p = sub.add_parser("assess", help="aggregate objective-group judgments into p_nf")
     p.add_argument("--scenario", required=True, help="scenario file with an assessment section")
-    p.set_defaults(func=cmd_assess)
+    p.set_defaults(func=cmd_assess, sections=("assessment",), inline={})
 
     p = sub.add_parser("sweep", help="worst-case bounds over a grid of p_nf, r, n")
     p.add_argument("--scenario", help="scenario file with a sweep section")
@@ -274,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_comma_ints, help="comma-separated r values")
     p.add_argument("--n", type=_comma_ints, help="comma-separated n values")
     p.add_argument("--csv", help="write the sweep table to this CSV file")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, sections=("sweep",),
+                   inline={"p_nf": ("sweep", "p_nf"), "r": ("sweep", "r"), "n": ("sweep", "n")})
 
     return parser
 

@@ -143,7 +143,6 @@ class WindowRecord:
     accumulated_evidence: int
     prediction: SurvivalPrediction
     meets_threshold: bool
-    observed_failures: int = 0  # reserved; the engine assumes failure-free operation
     remaining_lifetime: Optional[SurvivalPrediction] = None
 
 

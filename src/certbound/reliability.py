@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "Probability",
-    "DemandCount",
     "MixtureModel",
     "MonteCarloEstimate",
     "InfeasibleScaleError",
@@ -72,13 +71,8 @@ class Probability(float):
         return f"Probability({float(self)!r})"
 
 
-# Demand counts are plain non-negative ints (arbitrary precision covers the
-# 10**12 scale); validate at API boundaries with check_demand_count.
-DemandCount = int
-
-
 def check_demand_count(value: int, name: str = "count") -> int:
-    """Validate a demand count: a non-negative integer."""
+    """Validate a demand count: a non-negative integer (plain ints cover 10**12 exactly)."""
     try:
         n = operator.index(value)
     except TypeError:
@@ -144,7 +138,7 @@ def pfd(model: MixtureModel) -> Probability:
     return Probability(model.p_f_given_faulty * (1.0 - model.p_nf))
 
 
-def survival_probability(model: MixtureModel, n: DemandCount) -> Probability:
+def survival_probability(model: MixtureModel, n: int) -> Probability:
     """Probability of surviving n independent demands without failure.
 
     ``p_nf + (1 - p_nf) * (1 - p_f_given_faulty)**n``.  The first term is a
@@ -161,7 +155,7 @@ def survival_probability(model: MixtureModel, n: DemandCount) -> Probability:
 
 def monte_carlo_survival(
     model: MixtureModel,
-    n: DemandCount,
+    n: int,
     trials: int,
     seed: int,
 ) -> MonteCarloEstimate:

@@ -11,16 +11,18 @@ or more subcommands:
     bootstrap:   a full fleet scenario
     sweep:       grids of p_nf, r and n for the sweep subcommand
 
-Parsing is strict: unknown keys anywhere are rejected, as are values of the
-wrong type (a typo in a certification input should never pass silently).
-Validation errors always name the offending key and value.
+One table, ``_SECTIONS``, maps each key of each section to a value kind that
+both loads (checks) and dumps the value, so parsing and serialisation agree
+by construction.  Parsing is strict: unknown keys anywhere are rejected, as
+are values of the wrong type (a typo in a certification input should never
+pass silently).  Validation errors always name the offending key and value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import yaml
 
@@ -80,8 +82,14 @@ class ModelSection:
 
 @dataclass(frozen=True)
 class Query:
+    """Future demands to predict over: one count ``n`` or a grid ``n_grid``."""
+
     n: Optional[int] = None
     n_grid: Optional[tuple[int, ...]] = None
+
+    def __post_init__(self) -> None:
+        if (self.n is None) == (self.n_grid is None):
+            raise ValueError("exactly one of 'n' and 'n_grid' must be given")
 
     def values(self) -> tuple[int, ...]:
         return (self.n,) if self.n is not None else self.n_grid
@@ -117,237 +125,167 @@ def _fail(path: str, message: str, value: Any = ...) -> "ScenarioValidationError
     return ScenarioValidationError(f"{path}: {message}")
 
 
-def _require_mapping(value: Any, path: str) -> dict:
+def _build(build: Callable, value: Any, path: str) -> Any:
+    """``build(value)``, with a ValueError it raises reported at ``path``."""
+    try:
+        return build(value)
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise _fail(path, str(exc)) from None
+
+
+class _Kind(NamedTuple):
+    """How one schema value is loaded from parsed YAML and dumped back."""
+
+    load: Callable[[Any, str], Any]  # (raw value, path) -> checked value
+    dump: Callable[[Any], Any]  # checked value -> plain YAML value
+
+
+def _scalar(
+    what: str, types: tuple, build: Callable = lambda v: v, dump: Callable = lambda v: v
+) -> _Kind:
+    def load(value: Any, path: str) -> Any:
+        # bool is an int subclass; a YAML `true` is never a number.
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise _fail(path, f"expected {what}", value)
+        return _build(build, value, path)
+
+    return _Kind(load, dump)
+
+
+def _non_negative(n: int) -> int:
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n!r}")
+    return n
+
+
+def _choice(*options: str) -> _Kind:
+    def build(value: str) -> str:
+        if value not in options:
+            raise ValueError(f"expected one of {', '.join(map(repr, options))}, got {value!r}")
+        return value
+
+    return _scalar("a string", (str,), build)
+
+
+def _list(item: _Kind) -> _Kind:
+    def load(value: Any, path: str) -> tuple:
+        if not isinstance(value, list) or not value:
+            raise _fail(path, "expected a non-empty list", value)
+        return tuple(item.load(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return _Kind(load, lambda values: [item.dump(v) for v in values])
+
+
+def _mapping(value: Any, path: str) -> dict:
     if not isinstance(value, dict):
         raise _fail(path, "expected a mapping", value)
     return value
 
 
-def _check_keys(mapping: dict, allowed: set[str], required: set[str], path: str) -> None:
-    unknown = set(mapping) - allowed
+def _record(build: Callable, fields: dict[str, _Kind], optional: set = frozenset()) -> _Kind:
+    """A mapping of the keys ``fields`` (``optional`` ones may be absent, and
+    None is not dumped), passed by name to ``build``.  A record built as a
+    plain tuple dumps its items in field order."""
+    allowed, required = set(fields), set(fields) - optional
+
+    def load(value: Any, path: str) -> Any:
+        m = _mapping(value, path)
+        unknown, missing = set(m) - allowed, required - set(m)
+        if unknown:
+            raise _fail(path, f"unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})")
+        if missing:
+            raise _fail(path, f"missing required keys {sorted(missing)}")
+        kwargs = {k: kind.load(m[k], f"{path}.{k}") for k, kind in fields.items() if k in m}
+        return _build(lambda kw: build(**kw), kwargs, path)
+
+    def dump(obj: Any) -> dict:
+        values = obj if isinstance(obj, tuple) else [getattr(obj, k) for k in fields]
+        return {k: kind.dump(v) for (k, kind), v in zip(fields.items(), values) if v is not None}
+
+    return _Kind(load, dump)
+
+
+def _variant(cls: type, fields: dict[str, _Kind]) -> _Kind:
+    """A record for one variant of a ``kind``-tagged union.  ``_tagged`` has
+    already checked the ``kind`` key; ``cls`` carries it as a class attribute."""
+    return _record(lambda kind, **kw: cls(**kw), {"kind": _STR, **fields})
+
+
+def _tagged(variants: dict[str, _Kind]) -> _Kind:
+    """A record whose ``kind`` key picks one of ``variants``."""
+    choose = _choice(*variants)
+
+    def load(value: Any, path: str) -> Any:
+        m = _mapping(value, path)
+        if "kind" not in m:
+            raise _fail(path, "missing required keys ['kind']")
+        return variants[choose.load(m["kind"], f"{path}.kind")].load(m, path)
+
+    return _Kind(load, lambda obj: variants[obj.kind].dump(obj))
+
+
+_NUMBER = _scalar("a number", (int, float), float, float)
+_INT = _scalar("an integer", (int,), dump=int)
+_COUNT = _scalar("an integer", (int,), _non_negative, int)
+_PROBABILITY = _scalar("a number", (int, float), lambda v: Probability(float(v)), float)
+_STR = _scalar("a string", (str,))
+_BOOL = _scalar("a boolean", (bool,))
+_EVIDENCE = _Kind(lambda v, path: Evidence(_COUNT.load(v, path)), lambda e: int(e.r))
+
+_GROWTH = _tagged({
+    "constant": _variant(ConstantGrowth, {"initial_fleet": _INT}),
+    "linear": _variant(LinearGrowth, {"initial_fleet": _INT, "added_per_window": _INT}),
+    "logistic": _variant(
+        LogisticGrowth, {"initial_fleet": _INT, "growth_rate": _NUMBER, "carrying_capacity": _INT}
+    ),
+})
+_ATOM = _record(lambda q, weight: (q, weight), {"q": _NUMBER, "weight": _NUMBER})
+_GROUP = _record(
+    ObjectiveGroupAssessment,
+    {"group_id": _STR, "objective_count": _INT, "p_no_fault": _PROBABILITY},
+)
+
+_SECTIONS: dict[str, _Kind] = {
+    "model": _record(ModelSection, {"p_nf": _PROBABILITY, "p_f_given_faulty": _PROBABILITY},
+                     optional={"p_f_given_faulty"}),
+    "evidence": _record(Evidence, {"r": _COUNT}),
+    "query": _record(Query, {"n": _COUNT, "n_grid": _list(_COUNT)}, optional={"n", "n_grid"}),
+    "prior": _record(DiscretePrior, {"p_nf": _PROBABILITY, "atoms": _list(_ATOM)}),
+    "assessment": _record(
+        AssessmentSpec, {"mode": _choice("conservative", "independent"), "groups": _list(_GROUP)}
+    ),
+    "bootstrap": _record(
+        FleetScenario,
+        {
+            "growth": _GROWTH,
+            "demands_per_aircraft_per_window": _INT,
+            "window_count": _COUNT,
+            "p_nf": _PROBABILITY,
+            "initial_evidence": _EVIDENCE,
+            "confidence_threshold": _PROBABILITY,
+            "include_remaining_lifetime": _BOOL,
+        },
+        optional={"include_remaining_lifetime"},
+    ),
+    "sweep": _record(SweepGrids, {"p_nf": _list(_PROBABILITY), "r": _list(_COUNT),
+                                  "n": _list(_COUNT)}),
+}
+
+
+def scenario_from_mapping(raw: Any) -> ScenarioFile:
+    """Validate an already-parsed mapping of sections (None means empty)."""
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise _fail("<root>", "expected a mapping of sections", raw)
+    unknown = set(raw) - set(_SECTIONS)
     if unknown:
-        raise _fail(path, f"unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})")
-    missing = required - set(mapping)
-    if missing:
-        raise _fail(path, f"missing required keys {sorted(missing)}")
-
-
-def _number_value(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(path, "expected a number", value)
-    return float(value)
-
-
-def _int_value(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(path, "expected an integer", value)
-    return value
-
-
-def _count_value(value: Any, path: str) -> int:
-    n = _int_value(value, path)
-    if n < 0:
-        raise _fail(path, "expected a non-negative integer", n)
-    return n
-
-
-def _probability_value(value: Any, path: str) -> Probability:
-    try:
-        return Probability(_number_value(value, path))
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise _fail(path, str(exc)) from None
-
-
-def _get_number(mapping: dict, key: str, path: str) -> float:
-    return _number_value(mapping[key], f"{path}.{key}")
-
-
-def _get_int(mapping: dict, key: str, path: str) -> int:
-    return _int_value(mapping[key], f"{path}.{key}")
-
-
-def _get_str(mapping: dict, key: str, path: str) -> str:
-    value = mapping[key]
-    if not isinstance(value, str):
-        raise _fail(f"{path}.{key}", "expected a string", value)
-    return value
-
-
-def _get_bool(mapping: dict, key: str, path: str) -> bool:
-    value = mapping[key]
-    if not isinstance(value, bool):
-        raise _fail(f"{path}.{key}", "expected a boolean", value)
-    return value
-
-
-def _get_list(mapping: dict, key: str, path: str) -> list:
-    value = mapping[key]
-    if not isinstance(value, list) or not value:
-        raise _fail(f"{path}.{key}", "expected a non-empty list", value)
-    return value
-
-
-def _probability(mapping: dict, key: str, path: str) -> Probability:
-    return _probability_value(mapping[key], f"{path}.{key}")
-
-
-def _count(mapping: dict, key: str, path: str) -> int:
-    return _count_value(mapping[key], f"{path}.{key}")
-
-
-def _parse_model(raw: Any) -> ModelSection:
-    m = _require_mapping(raw, "model")
-    _check_keys(m, {"p_nf", "p_f_given_faulty"}, {"p_nf"}, "model")
-    p_fail = _probability(m, "p_f_given_faulty", "model") if "p_f_given_faulty" in m else None
-    return ModelSection(p_nf=_probability(m, "p_nf", "model"), p_f_given_faulty=p_fail)
-
-
-def _parse_evidence(raw: Any) -> Evidence:
-    m = _require_mapping(raw, "evidence")
-    _check_keys(m, {"r"}, {"r"}, "evidence")
-    return Evidence(r=_count(m, "r", "evidence"))
-
-
-def _parse_query(raw: Any) -> Query:
-    m = _require_mapping(raw, "query")
-    _check_keys(m, {"n", "n_grid"}, set(), "query")
-    if ("n" in m) == ("n_grid" in m):
-        raise _fail("query", "exactly one of 'n' and 'n_grid' must be given")
-    if "n" in m:
-        return Query(n=_count(m, "n", "query"))
-    grid = _get_list(m, "n_grid", "query")
-    return Query(n_grid=tuple(_count_value(v, f"query.n_grid[{i}]") for i, v in enumerate(grid)))
-
-
-def _parse_prior(raw: Any) -> DiscretePrior:
-    m = _require_mapping(raw, "prior")
-    _check_keys(m, {"p_nf", "atoms"}, {"p_nf", "atoms"}, "prior")
-    atoms = []
-    for i, entry in enumerate(_get_list(m, "atoms", "prior")):
-        path = f"prior.atoms[{i}]"
-        e = _require_mapping(entry, path)
-        _check_keys(e, {"q", "weight"}, {"q", "weight"}, path)
-        atoms.append((_get_number(e, "q", path), _get_number(e, "weight", path)))
-    try:
-        return DiscretePrior(p_nf=_probability(m, "p_nf", "prior"), atoms=tuple(atoms))
-    except ValueError as exc:
-        raise _fail("prior", str(exc)) from None
-
-
-def _parse_assessment(raw: Any) -> AssessmentSpec:
-    m = _require_mapping(raw, "assessment")
-    _check_keys(m, {"mode", "groups"}, {"mode", "groups"}, "assessment")
-    mode = _get_str(m, "mode", "assessment")
-    if mode not in ("conservative", "independent"):
-        raise _fail("assessment.mode", "expected 'conservative' or 'independent'", mode)
-    groups = []
-    for i, entry in enumerate(_get_list(m, "groups", "assessment")):
-        path = f"assessment.groups[{i}]"
-        e = _require_mapping(entry, path)
-        _check_keys(e, {"group_id", "objective_count", "p_no_fault"},
-                    {"group_id", "objective_count", "p_no_fault"}, path)
-        try:
-            groups.append(
-                ObjectiveGroupAssessment(
-                    group_id=_get_str(e, "group_id", path),
-                    objective_count=_get_int(e, "objective_count", path),
-                    p_no_fault=_probability(e, "p_no_fault", path),
-                )
-            )
-        except ValueError as exc:
-            raise _fail(path, str(exc)) from None
-    return AssessmentSpec(mode=mode, groups=tuple(groups))
-
-
-_GROWTH_KEYS = {
-    "constant": {"initial_fleet"},
-    "linear": {"initial_fleet", "added_per_window"},
-    "logistic": {"initial_fleet", "growth_rate", "carrying_capacity"},
-}
-
-
-def _parse_growth(raw: Any, path: str):
-    m = _require_mapping(raw, path)
-    if "kind" not in m:
-        raise _fail(path, "missing required keys ['kind']")
-    kind = _get_str(m, "kind", path)
-    if kind not in _GROWTH_KEYS:
-        raise _fail(f"{path}.kind", "expected one of 'constant', 'linear', 'logistic'", kind)
-    _check_keys(m, _GROWTH_KEYS[kind] | {"kind"}, _GROWTH_KEYS[kind] | {"kind"}, path)
-    try:
-        if kind == "constant":
-            return ConstantGrowth(initial_fleet=_get_int(m, "initial_fleet", path))
-        if kind == "linear":
-            return LinearGrowth(
-                initial_fleet=_get_int(m, "initial_fleet", path),
-                added_per_window=_get_int(m, "added_per_window", path),
-            )
-        return LogisticGrowth(
-            initial_fleet=_get_int(m, "initial_fleet", path),
-            growth_rate=_get_number(m, "growth_rate", path),
-            carrying_capacity=_get_int(m, "carrying_capacity", path),
-        )
-    except ValueError as exc:
-        raise _fail(path, str(exc)) from None
-
-
-def _parse_bootstrap(raw: Any) -> FleetScenario:
-    m = _require_mapping(raw, "bootstrap")
-    required = {
-        "growth",
-        "demands_per_aircraft_per_window",
-        "window_count",
-        "p_nf",
-        "initial_evidence",
-        "confidence_threshold",
-    }
-    _check_keys(m, required | {"include_remaining_lifetime"}, required, "bootstrap")
-    include = (
-        _get_bool(m, "include_remaining_lifetime", "bootstrap")
-        if "include_remaining_lifetime" in m
-        else False
+        raise _fail("<root>", f"unknown sections {sorted(unknown)}")
+    return ScenarioFile(
+        **{name: kind.load(raw[name], name) for name, kind in _SECTIONS.items() if name in raw}
     )
-    try:
-        return FleetScenario(
-            growth=_parse_growth(m["growth"], "bootstrap.growth"),
-            demands_per_aircraft_per_window=_get_int(
-                m, "demands_per_aircraft_per_window", "bootstrap"
-            ),
-            window_count=_count(m, "window_count", "bootstrap"),
-            p_nf=_probability(m, "p_nf", "bootstrap"),
-            initial_evidence=Evidence(_count(m, "initial_evidence", "bootstrap")),
-            confidence_threshold=_probability(m, "confidence_threshold", "bootstrap"),
-            include_remaining_lifetime=include,
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise _fail("bootstrap", str(exc)) from None
-
-
-def _parse_sweep(raw: Any) -> SweepGrids:
-    m = _require_mapping(raw, "sweep")
-    _check_keys(m, {"p_nf", "r", "n"}, {"p_nf", "r", "n"}, "sweep")
-    p_nf = [
-        float(_probability_value(v, f"sweep.p_nf[{i}]"))
-        for i, v in enumerate(_get_list(m, "p_nf", "sweep"))
-    ]
-    r = [_count_value(v, f"sweep.r[{i}]") for i, v in enumerate(_get_list(m, "r", "sweep"))]
-    n = [_count_value(v, f"sweep.n[{i}]") for i, v in enumerate(_get_list(m, "n", "sweep"))]
-    return SweepGrids(p_nf=tuple(p_nf), r=tuple(r), n=tuple(n))
-
-
-_SECTION_PARSERS = {
-    "model": _parse_model,
-    "evidence": _parse_evidence,
-    "query": _parse_query,
-    "prior": _parse_prior,
-    "assessment": _parse_assessment,
-    "bootstrap": _parse_bootstrap,
-    "sweep": _parse_sweep,
-}
 
 
 def parse_scenario(path: "str | Path") -> ScenarioFile:
@@ -366,77 +304,13 @@ def parse_scenario(path: "str | Path") -> ScenarioFile:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ScenarioSyntaxError(f"invalid YAML in {path}: {exc}") from exc
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise _fail("<root>", "expected a mapping of sections", raw)
-    unknown = set(raw) - set(_SECTION_PARSERS)
-    if unknown:
-        raise _fail("<root>", f"unknown sections {sorted(unknown)}")
-    parsed = {name: parser(raw[name]) for name, parser in _SECTION_PARSERS.items() if name in raw}
-    return ScenarioFile(**parsed)
-
-
-def _growth_mapping(growth) -> dict:
-    out = {"kind": growth.kind, "initial_fleet": int(growth.initial_fleet)}
-    if isinstance(growth, LinearGrowth):
-        out["added_per_window"] = int(growth.added_per_window)
-    elif isinstance(growth, LogisticGrowth):
-        out["growth_rate"] = float(growth.growth_rate)
-        out["carrying_capacity"] = int(growth.carrying_capacity)
-    return out
+    return scenario_from_mapping(raw)
 
 
 def scenario_to_mapping(scenario: ScenarioFile) -> dict:
     """Plain-dict form of a scenario, suitable for YAML dumping."""
-    out: dict[str, Any] = {}
-    if scenario.model is not None:
-        section: dict[str, Any] = {"p_nf": float(scenario.model.p_nf)}
-        if scenario.model.p_f_given_faulty is not None:
-            section["p_f_given_faulty"] = float(scenario.model.p_f_given_faulty)
-        out["model"] = section
-    if scenario.evidence is not None:
-        out["evidence"] = {"r": int(scenario.evidence.r)}
-    if scenario.query is not None:
-        if scenario.query.n is not None:
-            out["query"] = {"n": int(scenario.query.n)}
-        else:
-            out["query"] = {"n_grid": [int(v) for v in scenario.query.n_grid]}
-    if scenario.prior is not None:
-        out["prior"] = {
-            "p_nf": float(scenario.prior.p_nf),
-            "atoms": [{"q": float(q), "weight": float(w)} for q, w in scenario.prior.atoms],
-        }
-    if scenario.assessment is not None:
-        out["assessment"] = {
-            "mode": scenario.assessment.mode,
-            "groups": [
-                {
-                    "group_id": g.group_id,
-                    "objective_count": int(g.objective_count),
-                    "p_no_fault": float(g.p_no_fault),
-                }
-                for g in scenario.assessment.groups
-            ],
-        }
-    if scenario.bootstrap is not None:
-        b = scenario.bootstrap
-        out["bootstrap"] = {
-            "growth": _growth_mapping(b.growth),
-            "demands_per_aircraft_per_window": int(b.demands_per_aircraft_per_window),
-            "window_count": int(b.window_count),
-            "p_nf": float(b.p_nf),
-            "initial_evidence": int(b.initial_evidence.r),
-            "confidence_threshold": float(b.confidence_threshold),
-            "include_remaining_lifetime": b.include_remaining_lifetime,
-        }
-    if scenario.sweep is not None:
-        out["sweep"] = {
-            "p_nf": [float(v) for v in scenario.sweep.p_nf],
-            "r": [int(v) for v in scenario.sweep.r],
-            "n": [int(v) for v in scenario.sweep.n],
-        }
-    return out
+    sections = ((name, kind, getattr(scenario, name)) for name, kind in _SECTIONS.items())
+    return {name: kind.dump(value) for name, kind, value in sections if value is not None}
 
 
 def serialize_scenario(scenario: ScenarioFile) -> str:

@@ -86,6 +86,38 @@ class TestPredict:
         assert code == 4
 
 
+class TestInputResolution:
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (("predict", "--scenario", "point_prediction.yaml", "--p-nf", "0.5"), "--p-nf"),
+            (("survival", "--scenario", "survival_check.yaml", "--p-fail", "0.5", "--n", "5"),
+             "--p-fail, --n"),
+            (("sweep", "--scenario", "sweep_grid.yaml", "--r", "5"), "--r"),
+        ],
+    )
+    def test_scenario_with_inline_values_rejected(self, capsys, argv, flags):
+        argv = [str(SCENARIOS / a) if a.endswith(".yaml") else a for a in argv]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert flags in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("predict", "--p-nf", "0.9", "--r", "-3", "--n", "5"),
+            ("survival", "--p-nf", "0.9", "--p-fail", "0.01", "--n", "-1"),
+            ("sweep", "--p-nf", "0.9,1.5", "--r", "0", "--n", "10"),
+        ],
+    )
+    def test_invalid_inline_value_prints_nothing(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 4
+        assert out == ""
+
+
 class TestSurvival:
     def test_certainty_case(self, capsys):
         code, out = run(capsys, "survival", "--p-nf", "1.0", "--p-fail", "0.5", "--n", "1000000000")
@@ -199,6 +231,19 @@ class TestSweep:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [("sweep", "--r", "1e3"), ("frobnicate",), ()])
+    def test_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 5
+        assert capsys.readouterr().out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--help"])
+        assert exc.value.code == 0
+        assert "--scenario" in capsys.readouterr().out
+
     def test_missing_scenario_file(self, capsys, tmp_path):
         code, _ = run(capsys, "predict", "--scenario", str(tmp_path / "missing.yaml"))
         assert code == 2

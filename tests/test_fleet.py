@@ -130,10 +130,6 @@ class TestRunBootstrap:
     def test_deterministic(self):
         assert run_bootstrap(constant_scenario()) == run_bootstrap(constant_scenario())
 
-    def test_failures_never_injected(self):
-        trace = run_bootstrap(constant_scenario(window_count=4))
-        assert all(w.observed_failures == 0 for w in trace.windows)
-
     def test_remaining_lifetime_predictions(self):
         scenario = constant_scenario(window_count=4, include_remaining_lifetime=True)
         trace = run_bootstrap(scenario)

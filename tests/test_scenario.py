@@ -2,8 +2,9 @@ from pathlib import Path
 
 import pytest
 
-from certbound.fleet import LinearGrowth
+from certbound.fleet import ConstantGrowth, LinearGrowth, LogisticGrowth
 from certbound.scenario import (
+    Query,
     ScenarioIOError,
     ScenarioSyntaxError,
     ScenarioValidationError,
@@ -147,3 +148,59 @@ def test_bootstrap_section_builds_fleet_scenario():
     assert fleet.window_count == 40
     assert fleet.initial_evidence.r == 1000
     assert float(fleet.confidence_threshold) == 0.99
+
+
+FULL_SCENARIO = """\
+model: {p_nf: 0.9, p_f_given_faulty: 0.01}
+evidence: {r: 1000}
+query: QUERY
+prior:
+  p_nf: 0.9
+  atoms:
+    - {q: 1.0e-4, weight: 0.05}
+    - {q: 0.25, weight: 0.05}
+assessment:
+  mode: independent
+  groups:
+    - {group_id: "6.3.2", objective_count: 7, p_no_fault: 0.999}
+    - {group_id: "6.4", objective_count: 5, p_no_fault: 0.997}
+bootstrap:
+  growth: GROWTH
+  demands_per_aircraft_per_window: 5000
+  window_count: 12
+  p_nf: 0.99
+  initial_evidence: 1000
+  confidence_threshold: 0.99
+  include_remaining_lifetime: true
+sweep: {p_nf: [0.0, 0.9, 1.0], r: [0, 1000000000000], n: [1]}
+"""
+GROWTHS = {
+    "{kind: constant, initial_fleet: 3}": ConstantGrowth(3),
+    "{kind: linear, initial_fleet: 3, added_per_window: 2}": LinearGrowth(3, 2),
+    "{kind: logistic, initial_fleet: 3, growth_rate: 0.35, carrying_capacity: 80}":
+        LogisticGrowth(3, 0.35, 80),
+}
+QUERIES = {"{n: 10000}": (10000,), "{n_grid: [0, 100, 10000]}": (0, 100, 10000)}
+
+
+@pytest.mark.parametrize("query", QUERIES)
+@pytest.mark.parametrize("growth", GROWTHS)
+def test_every_field_round_trips(growth, query, tmp_path):
+    text = FULL_SCENARIO.replace("GROWTH", growth).replace("QUERY", query)
+    first = parse_scenario(write(tmp_path, text))
+    assert first.bootstrap.growth == GROWTHS[growth]
+    assert first.bootstrap.include_remaining_lifetime is True
+    assert first.query.values() == QUERIES[query]
+    assert all(getattr(first, name) is not None for name in first.__dataclass_fields__)
+    rewritten = serialize_scenario(first)
+    second = parse_scenario(write(tmp_path, rewritten))
+    assert second == first
+    assert serialize_scenario(second) == rewritten
+
+
+def test_query_type_enforces_exactly_one_form():
+    with pytest.raises(ValueError, match="exactly one"):
+        Query()
+    with pytest.raises(ValueError, match="exactly one"):
+        Query(n=1, n_grid=(1,))
+    assert Query(n_grid=(1, 2)).values() == (1, 2)
