@@ -5,106 +5,21 @@ count of observed failure-free demands, compute lower bounds on future
 failure-free operation that hold for every prior consistent with the
 assessment, aggregate per-objective-group judgments into that assessment,
 and simulate how the bound grows as a fleet accumulates operating history.
+
+The top level re-exports every submodule's ``__all__``.
 """
 
-from .assessment import (
-    ASSURANCE_LEVEL_OBJECTIVES,
-    AssuranceLevel,
-    ObjectiveGroupAssessment,
-    UnknownLevelError,
-    aggregate_fault_freeness,
-    level_preset,
-)
-from .fleet import (
-    BootstrapTrace,
-    ConstantGrowth,
-    FeasibilityVerdict,
-    FleetGrowthModel,
-    FleetScenario,
-    LinearGrowth,
-    LogisticGrowth,
-    WindowRecord,
-    check_feasibility,
-    demands_in_window,
-    run_bootstrap,
-)
-from .inference import (
-    DegenerateConditioningError,
-    DiscretePrior,
-    Evidence,
-    PointPredictive,
-    SurvivalPrediction,
-    SweepRow,
-    grid_worst_case,
-    posterior_predictive_discrete,
-    predictive_given_point_prior,
-    sweep,
-    worst_case_survival,
-)
-from .reliability import (
-    InfeasibleScaleError,
-    MixtureModel,
-    MonteCarloEstimate,
-    Probability,
-    check_demand_count,
-    monte_carlo_survival,
-    pfd,
-    survival_probability,
-)
-from .scenario import (
-    ScenarioError,
-    ScenarioFile,
-    ScenarioIOError,
-    ScenarioSyntaxError,
-    ScenarioValidationError,
-    parse_scenario,
-    serialize_scenario,
-)
+from . import assessment, fleet, inference, reliability, scenario
+from .assessment import *  # noqa: F401,F403
+from .fleet import *  # noqa: F401,F403
+from .inference import *  # noqa: F401,F403
+from .reliability import *  # noqa: F401,F403
+from .scenario import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ASSURANCE_LEVEL_OBJECTIVES",
-    "AssuranceLevel",
-    "BootstrapTrace",
-    "ConstantGrowth",
-    "DegenerateConditioningError",
-    "DiscretePrior",
-    "Evidence",
-    "FeasibilityVerdict",
-    "FleetGrowthModel",
-    "FleetScenario",
-    "InfeasibleScaleError",
-    "LinearGrowth",
-    "LogisticGrowth",
-    "MixtureModel",
-    "MonteCarloEstimate",
-    "ObjectiveGroupAssessment",
-    "PointPredictive",
-    "Probability",
-    "ScenarioError",
-    "ScenarioFile",
-    "ScenarioIOError",
-    "ScenarioSyntaxError",
-    "ScenarioValidationError",
-    "SurvivalPrediction",
-    "SweepRow",
-    "UnknownLevelError",
-    "WindowRecord",
-    "aggregate_fault_freeness",
-    "check_demand_count",
-    "check_feasibility",
-    "demands_in_window",
-    "grid_worst_case",
-    "level_preset",
-    "monte_carlo_survival",
-    "parse_scenario",
-    "pfd",
-    "posterior_predictive_discrete",
-    "predictive_given_point_prior",
-    "run_bootstrap",
-    "serialize_scenario",
-    "survival_probability",
-    "sweep",
-    "worst_case_survival",
-]
+__all__ = sorted(
+    name
+    for module in (assessment, fleet, inference, reliability, scenario)
+    for name in module.__all__
+)

@@ -10,9 +10,10 @@ Each subcommand reads its inputs either from ``--scenario`` or from inline
 value flags, never both; inline values pass the same schema checks as a
 scenario file before anything is printed.
 
-Exit codes: 0 success; 1 a bootstrap verdict failed its threshold; 2 scenario
-I/O error; 3 scenario syntax error; 4 validation error; 5 usage error (bad or
-missing arguments, reported by argparse).
+Exit codes: 0 success; 1 a bootstrap verdict failed its threshold; 2 I/O
+error (the scenario file or the --csv output); 3 scenario syntax error; 4
+validation error; 5 usage error (bad or missing arguments, reported by
+argparse).
 """
 
 from __future__ import annotations
@@ -114,19 +115,24 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_survival(args: argparse.Namespace) -> int:
     scenario = _resolve(args)
     model = scenario.model.mixture()
+    for flag, value in (("--mc-trials", args.mc_trials), ("--seed", args.seed)):
+        if value < 0:
+            raise ValueError(f"{flag} must be >= 0, got {value}")
+
+    lines = []
+    for n in scenario.query.values():
+        lines.append(f"  n = {n}: {format_probability(survival_probability(model, n))}")
+        if args.mc_trials:
+            mc = monte_carlo_survival(model, n, trials=args.mc_trials, seed=args.seed)
+            lines.append(
+                f"    monte carlo ({mc.trials} trials, seed {mc.seed}): "
+                f"{format_probability(mc.estimate)} +/- {mc.standard_error:.3g}"
+            )
 
     print("survival probability under the two-component model")
     print(f"  p_nf             : {format_probability(model.p_nf)}")
     print(f"  p_f_given_faulty : {format_probability(model.p_f_given_faulty)}")
-    for n in scenario.query.values():
-        value = survival_probability(model, n)
-        print(f"  n = {n}: {format_probability(value)}")
-        if args.mc_trials:
-            mc = monte_carlo_survival(model, n, trials=args.mc_trials, seed=args.seed)
-            print(
-                f"    monte carlo ({mc.trials} trials, seed {mc.seed}): "
-                f"{format_probability(mc.estimate)} +/- {mc.standard_error:.3g}"
-            )
+    print("\n".join(lines))
     return 0
 
 
@@ -144,17 +150,6 @@ def _print_trace(trace: BootstrapTrace) -> None:
 def cmd_bootstrap(args: argparse.Namespace) -> int:
     trace = run_bootstrap(_resolve(args).bootstrap)
     verdict = check_feasibility(trace)
-
-    print("fleet bootstrap run")
-    print(f"  threshold           : {format_probability(trace.threshold)}")
-    print(f"  cumulative demands  : {trace.cumulative_demands}")
-    _print_trace(trace)
-    if verdict.all_windows_pass:
-        margin = "n/a" if verdict.minimum_margin is None else f"{verdict.minimum_margin:.12g}"
-        print(f"verdict: all windows meet the threshold (minimum margin {margin})")
-    else:
-        print(f"verdict: window {verdict.first_failing_window} misses the threshold")
-
     if args.csv:
         rows = [
             [
@@ -169,6 +164,17 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
             for w in trace.windows
         ]
         _write_csv(args.csv, BOOTSTRAP_CSV_HEADER, rows)
+
+    print("fleet bootstrap run")
+    print(f"  threshold           : {format_probability(trace.threshold)}")
+    print(f"  cumulative demands  : {trace.cumulative_demands}")
+    _print_trace(trace)
+    if verdict.all_windows_pass:
+        margin = "n/a" if verdict.minimum_margin is None else f"{verdict.minimum_margin:.12g}"
+        print(f"verdict: all windows meet the threshold (minimum margin {margin})")
+    else:
+        print(f"verdict: window {verdict.first_failing_window} misses the threshold")
+    if args.csv:
         print(f"wrote {args.csv}")
     return 0 if verdict.all_windows_pass else EXIT_THRESHOLD_MISS
 
@@ -196,12 +202,6 @@ def _comma_ints(text: str) -> list[int]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     grids = _resolve(args).sweep
     rows = sweep(list(grids.p_nf), list(grids.r), list(grids.n))
-    print(f"{'p_nf':>10} {'r':>12} {'n':>12} {'lower_bound':>18} {'worst_case_q':>14} {'excess':>12}")
-    for row in rows:
-        print(
-            f"{row.p_nf:>10.6g} {row.r:>12} {row.n:>12} {row.lower_bound:>18.12f} "
-            f"{row.worst_case_q:>14.6g} {row.excess_over_floor:>12.6g}"
-        )
     if args.csv:
         _write_csv(
             args.csv,
@@ -218,6 +218,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 for row in rows
             ],
         )
+    print(f"{'p_nf':>10} {'r':>12} {'n':>12} {'lower_bound':>18} {'worst_case_q':>14} {'excess':>12}")
+    for row in rows:
+        print(
+            f"{row.p_nf:>10.6g} {row.r:>12} {row.n:>12} {row.lower_bound:>18.12f} "
+            f"{row.worst_case_q:>14.6g} {row.excess_over_floor:>12.6g}"
+        )
+    if args.csv:
         print(f"wrote {args.csv}")
     return 0
 
@@ -252,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-fail", dest="p_fail", type=float, help="per-demand failure probability if faulty")
     p.add_argument("--n", type=int, help="number of demands")
     p.add_argument("--mc-trials", dest="mc_trials", type=int, default=0,
-                   help="also run a Monte Carlo cross-check with this many trials")
-    p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+                   help="also run a Monte Carlo cross-check with this many trials (0: off)")
+    p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed (>= 0)")
     p.set_defaults(func=cmd_survival, sections=("model", "query"),
                    inline={"p_nf": ("model", "p_nf"), "p_fail": ("model", "p_f_given_faulty"),
                            "n": ("query", "n")})
@@ -283,7 +290,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioIOError as exc:
+    except (ScenarioIOError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
     except ScenarioSyntaxError as exc:

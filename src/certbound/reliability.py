@@ -27,15 +27,15 @@ __all__ = [
     "monte_carlo_survival",
 ]
 
-# Monte Carlo guard: reject runs that would simulate more demands than this.
-MAX_SIMULATED_DEMANDS = 10**10
+# Trials drawn per vectorized chunk in the Monte Carlo sampler (memory bound).
+_TRIAL_CHUNK = 1 << 20
 
-# Elements drawn per vectorized block in the demand simulation (memory bound).
-_BLOCK_DRAW_BUDGET = 1 << 20
+# numpy's geometric draws saturate here, so `first failure > n` is exact only below it.
+_GEOMETRIC_CAP = 2**63 - 1
 
 
 class InfeasibleScaleError(ValueError):
-    """A simulation was requested at a scale the engine refuses to attempt."""
+    """A simulation was requested at a scale the sampler cannot resolve."""
 
 
 class Probability(float):
@@ -161,25 +161,26 @@ def monte_carlo_survival(
 ) -> MonteCarloEstimate:
     """Estimate the n-demand survival probability by simulating the mixture.
 
-    Each trial first decides fault-freeness (probability ``p_nf``); a faulty
-    trial then runs n independent demands, each failing with probability
-    ``p_f_given_faulty``, and survives only if none fail.  Demands are drawn
-    in blocks with early exit once a trial has failed, which leaves the
-    estimator exact while bounding memory.
+    Each trial first decides fault-freeness (probability ``p_nf``).  A faulty
+    trial then draws the index of its first failing demand from
+    ``Geometric(p_f_given_faulty)`` and survives iff that index exceeds n.
+    This is the distribution of n independent demands, at O(trials) cost for
+    any n, and it never evaluates ``(1 - q)**n``, so it stays an independent
+    check of :func:`survival_probability`.
 
     Randomness comes from numpy's PCG64 generator seeded with ``seed``, so
     results are reproducible bit-for-bit on a given platform.
 
     Raises:
-        InfeasibleScaleError: if trials * n exceeds 10**10 simulated demands.
+        InfeasibleScaleError: if n >= 2**63 - 1, where numpy's int64
+            geometric draws saturate and can no longer exceed n.
     """
     n = check_demand_count(n, "n")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if trials * n > MAX_SIMULATED_DEMANDS:
+    if n >= _GEOMETRIC_CAP:
         raise InfeasibleScaleError(
-            f"trials * n = {trials * n} exceeds the {MAX_SIMULATED_DEMANDS} "
-            "simulated-demand guard"
+            f"n = {n} is not below 2**63 - 1, where geometric draws saturate"
         )
 
     rng = np.random.default_rng(seed)
@@ -187,24 +188,14 @@ def monte_carlo_survival(
     q = float(model.p_f_given_faulty)
 
     survivors = 0
-    chunk = min(trials, _BLOCK_DRAW_BUDGET)
-    remaining = trials
-    while remaining > 0:
-        size = min(chunk, remaining)
-        remaining -= size
+    for start in range(0, trials, _TRIAL_CHUNK):
+        size = min(_TRIAL_CHUNK, trials - start)
         faulty = int((rng.random(size) >= p_nf).sum())
         survivors += size - faulty
-        if n == 0 or q == 0.0:
+        if n == 0 or q == 0.0:  # geometric(0) raises; no demand can fail
             survivors += faulty
-            continue
-        alive = faulty
-        done = 0
-        while alive > 0 and done < n:
-            block = min(n - done, max(1, _BLOCK_DRAW_BUDGET // alive))
-            draws = rng.random((alive, block))
-            alive = int((draws >= q).all(axis=1).sum())
-            done += block
-        survivors += alive
+        else:
+            survivors += int((rng.geometric(q, faulty) > n).sum())
 
     estimate = survivors / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)

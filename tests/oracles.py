@@ -1,10 +1,13 @@
-"""High-precision reference implementations, independent of the package.
+"""Reference implementations, independent of the package.
 
-Everything here is evaluated with mpmath at 60 significant digits and exists
-only so tests can freeze expected values computed by a separate route.
+They exist only so tests can check the package against values computed by a
+separate route.  The closed forms and minimizers are evaluated with mpmath
+at 60 significant digits; ``per_demand_survival_fraction`` simulates every
+demand, as a reference for the package's Monte Carlo sampler.
 """
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 60
 
@@ -110,3 +113,20 @@ def stationarity_root_mp(p_nf, r, n, iterations=300):
         else:
             lo = mid
     return -mp.expm1((lo + hi) / 2)
+
+
+def per_demand_survival_fraction(p_nf, q, n, trials, seed):
+    """Monte Carlo survival fraction that draws every demand of every trial.
+
+    Each trial is fault-free with probability p_nf; a faulty trial survives
+    iff all n of its demands draw a uniform >= q.  Demands are drawn in
+    blocks, stopping once every faulty trial has failed.  Costs O(trials * n).
+    """
+    rng = np.random.default_rng(seed)
+    faulty = int((rng.random(trials) >= p_nf).sum())
+    alive, done = faulty, 0
+    while alive > 0 and done < n:
+        block = min(n - done, max(1, (1 << 20) // alive))
+        alive = int((rng.random((alive, block)) >= q).all(axis=1).sum())
+        done += block
+    return (trials - faulty + alive) / trials

@@ -110,6 +110,11 @@ class TestInputResolution:
             ("predict", "--p-nf", "0.9", "--r", "-3", "--n", "5"),
             ("survival", "--p-nf", "0.9", "--p-fail", "0.01", "--n", "-1"),
             ("sweep", "--p-nf", "0.9,1.5", "--r", "0", "--n", "10"),
+            ("survival", "--p-nf", "0.9", "--p-fail", "0.01", "--n", "5", "--mc-trials", "-5"),
+            ("survival", "--p-nf", "0.9", "--p-fail", "0.01", "--n", "5", "--mc-trials", "10",
+             "--seed", "-1"),
+            ("survival", "--p-nf", "0.9", "--p-fail", "0.01", "--n", str(2**63 - 1),
+             "--mc-trials", "10"),
         ],
     )
     def test_invalid_inline_value_prints_nothing(self, capsys, argv):
@@ -247,6 +252,17 @@ class TestExitCodes:
     def test_missing_scenario_file(self, capsys, tmp_path):
         code, _ = run(capsys, "predict", "--scenario", str(tmp_path / "missing.yaml"))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, scenario", [("bootstrap", "fleet_bootstrap.yaml"), ("sweep", "sweep_grid.yaml")]
+    )
+    def test_unwritable_csv(self, capsys, tmp_path, command, scenario):
+        target = tmp_path / "missing" / "out.csv"
+        code = main([command, "--scenario", str(SCENARIOS / scenario), "--csv", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_syntax_error(self, capsys, tmp_path):
         path = tmp_path / "broken.yaml"

@@ -23,6 +23,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "cli.json"
 SUBCOMMANDS = ("predict", "survival", "bootstrap", "assess", "sweep")
 CSV = "<csv>"
+UNWRITABLE = "<csv>/x.csv"  # under a file that does not exist
 
 INLINE = [
     ["predict", "--p-nf", "0.9", "--r", "0", "--n", "1000000"],
@@ -38,8 +39,13 @@ INLINE = [
      "--mc-trials", "2000", "--seed", "9"],
     ["survival", "--p-nf", "0.9", "--p-fail", "0.01", "--n", "-1"],
     ["survival", "--scenario", "scenarios/survival_check.yaml", "--n", "5"],
+    ["survival", "--p-nf", "0.9", "--p-fail", "0.01", "--n", "5", "--mc-trials", "-5"],
+    ["survival", "--p-nf", "0.9", "--p-fail", "0.01", "--n", "5",
+     "--mc-trials", "10", "--seed", "-1"],
+    ["bootstrap", "--scenario", "scenarios/fleet_bootstrap.yaml", "--csv", UNWRITABLE],
     ["sweep", "--p-nf", "0.9", "--r", "0,1000", "--n", "10000"],
     ["sweep", "--scenario", "scenarios/sweep_grid.yaml", "--r", "5", "--csv", CSV],
+    ["sweep", "--scenario", "scenarios/sweep_grid.yaml", "--csv", UNWRITABLE],
     ["sweep", "--r", "1e3"],
     ["frobnicate"],
 ]
@@ -58,6 +64,14 @@ def cases() -> list[list[str]]:
 # Calls whose output changed on purpose since the recording.
 _REJECTED = {"exit": 4, "stdout": "", "csv": None}
 _USAGE = {"exit": 5}
+_UNWRITABLE = {"exit": 2, "stdout": "", "csv": None}
+MC_STDOUT = (
+    "survival probability under the two-component model\n"
+    "  p_nf             : 0.5\n"
+    "  p_f_given_faulty : 0.05\n"
+    "  n = 50: 0.538472487638\n"
+    "    monte carlo (2000 trials, seed 9): 0.5415 +/- 0.0111\n"
+)
 CHANGED = {
     # --scenario combined with inline value flags is rejected.
     "predict --scenario scenarios/point_prediction.yaml --p-nf 0.5": _REJECTED,
@@ -66,6 +80,13 @@ CHANGED = {
     # Inline values are validated before anything is printed.
     "predict --p-nf 0.9 --r -3 --n 5": _REJECTED,
     "survival --p-nf 0.9 --p-fail 0.01 --n -1": _REJECTED,
+    "survival --p-nf 0.9 --p-fail 0.01 --n 5 --mc-trials -5": _REJECTED,
+    "survival --p-nf 0.9 --p-fail 0.01 --n 5 --mc-trials 10 --seed -1": _REJECTED,
+    # An unwritable --csv path is an I/O error, reported before the report.
+    "bootstrap --scenario scenarios/fleet_bootstrap.yaml --csv <csv>/x.csv": _UNWRITABLE,
+    "sweep --scenario scenarios/sweep_grid.yaml --csv <csv>/x.csv": _UNWRITABLE,
+    # The Monte Carlo sampler draws geometric first failures: a new random stream.
+    "survival --p-nf 0.5 --p-fail 0.05 --n 50 --mc-trials 2000 --seed 9": {"stdout": MC_STDOUT},
     # Usage errors have their own exit code.
     "sweep --r 1e3": _USAGE,
     "frobnicate": _USAGE,
@@ -74,7 +95,9 @@ CHANGED = {
 
 def run(argv: list[str], csv_path: Path) -> dict:
     args = [
-        str(csv_path) if a == CSV else str(ROOT / a) if a.startswith("scenarios/") else a
+        str(csv_path) if a == CSV
+        else str(csv_path / "x.csv") if a == UNWRITABLE
+        else str(ROOT / a) if a.startswith("scenarios/") else a
         for a in argv
     ]
     out = io.StringIO()

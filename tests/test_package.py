@@ -1,0 +1,34 @@
+import certbound
+from certbound import assessment, fleet, inference, reliability, scenario
+
+EXPORTED = {
+    # assessment
+    "ASSURANCE_LEVEL_OBJECTIVES", "AssuranceLevel", "ObjectiveGroupAssessment",
+    "UnknownLevelError", "aggregate_fault_freeness", "level_preset",
+    # fleet
+    "BootstrapTrace", "ConstantGrowth", "FeasibilityVerdict", "FleetGrowthModel",
+    "FleetScenario", "LinearGrowth", "LogisticGrowth", "WindowRecord",
+    "check_feasibility", "demands_in_window", "run_bootstrap",
+    # inference
+    "DegenerateConditioningError", "DiscretePrior", "Evidence", "PointPredictive",
+    "SurvivalPrediction", "SweepRow", "grid_worst_case", "posterior_predictive_discrete",
+    "predictive_given_point_prior", "sweep", "worst_case_survival",
+    # reliability
+    "InfeasibleScaleError", "MixtureModel", "MonteCarloEstimate", "Probability",
+    "check_demand_count", "monte_carlo_survival", "pfd", "survival_probability",
+    # scenario
+    "AssessmentSpec", "ModelSection", "Query", "ScenarioError", "ScenarioFile",
+    "ScenarioIOError", "ScenarioSyntaxError", "ScenarioValidationError", "SweepGrids",
+    "parse_scenario", "serialize_scenario",
+}
+
+
+def test_top_level_exports_are_pinned():
+    assert len(certbound.__all__) == len(EXPORTED)
+    assert set(certbound.__all__) == EXPORTED
+
+
+def test_top_level_names_are_the_submodules_objects():
+    for module in (assessment, fleet, inference, reliability, scenario):
+        for name in module.__all__:
+            assert getattr(certbound, name) is getattr(module, name)

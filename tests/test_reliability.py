@@ -14,7 +14,7 @@ from certbound.reliability import (
     survival_probability,
 )
 
-from oracles import survival_mp
+from oracles import per_demand_survival_fraction, survival_mp
 
 probabilities = st.floats(min_value=0.0, max_value=1.0)
 
@@ -144,9 +144,36 @@ class TestMonteCarlo:
         expected = math.sqrt(mc.estimate * (1.0 - mc.estimate) / mc.trials)
         assert mc.standard_error == pytest.approx(expected, abs=1e-15)
 
-    def test_scale_guard(self):
+    def test_large_n_runs(self):
+        model = MixtureModel(0.5, 0.1)
+        mc = monte_carlo_survival(model, 10**7, trials=10**4, seed=0)
+        assert abs(mc.estimate - survival_probability(model, 10**7)) <= 3.0 * mc.standard_error
+
+    def test_unresolvable_scale_refused(self):
         with pytest.raises(InfeasibleScaleError):
-            monte_carlo_survival(MixtureModel(0.5, 0.1), 10**7, trials=10**4, seed=0)
+            monte_carlo_survival(MixtureModel(0.5, 0.1), 2**63 - 1, trials=10, seed=0)
+
+    def test_saturated_first_failure_survives(self):
+        mc = monte_carlo_survival(MixtureModel(0.5, 1e-300), 10**12, trials=10**4, seed=5)
+        assert mc.estimate == 1.0
+
+    def test_every_trial_counted_across_chunks(self):
+        trials = 2**20 + 3
+        assert monte_carlo_survival(MixtureModel(1.0, 0.5), 10, trials, seed=1).estimate == 1.0
+        mc = monte_carlo_survival(MixtureModel(0.5, 1.0), 1, trials, seed=1)
+        assert mc.trials == trials
+        assert abs(mc.estimate - 0.5) <= 4.0 * mc.standard_error
+
+    @pytest.mark.parametrize(
+        "p_nf, q, n",
+        [(0.5, 0.1, 10), (0.2, 0.01, 50), (0.9, 0.5, 3), (0.0, 0.03, 20), (0.3, 1.0, 4)],
+    )
+    def test_agrees_with_per_demand_reference(self, p_nf, q, n):
+        trials = 10**5
+        mc = monte_carlo_survival(MixtureModel(p_nf, q), n, trials, seed=21)
+        ref = per_demand_survival_fraction(p_nf, q, n, trials, seed=22)
+        ref_se = math.sqrt(ref * (1.0 - ref) / trials)
+        assert abs(mc.estimate - ref) <= 4.0 * math.hypot(mc.standard_error, ref_se)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
