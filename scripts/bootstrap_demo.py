@@ -21,7 +21,7 @@ def main() -> None:
     verdict = check_feasibility(trace)
 
     print(f"assessed p_nf {float(fleet.p_nf)}, threshold {float(fleet.confidence_threshold)}, "
-          f"starting evidence r = {fleet.initial_evidence.r}")
+          f"starting evidence r = {fleet.initial_evidence}")
     print(f"{'window':>6} {'fleet':>6} {'demands':>10} {'r so far':>12} "
           f"{'window bound':>14} {'lifetime bound':>15} {'pass':>5}")
     print("-" * 75)

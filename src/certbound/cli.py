@@ -142,7 +142,7 @@ def _print_trace(trace: BootstrapTrace) -> None:
     for w in trace.windows:
         print(
             f"{w.window_index:>6} {w.fleet_size:>8} {w.window_demands:>12} "
-            f"{w.accumulated_evidence:>14} {float(w.prediction.lower_bound):>18.12f} "
+            f"{w.accumulated_evidence:>14} {w.prediction.lower_bound:>18.12f} "
             f"{'yes' if w.meets_threshold else 'NO':>6}"
         )
 
@@ -157,8 +157,8 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
                 w.fleet_size,
                 w.window_demands,
                 w.accumulated_evidence,
-                repr(float(w.prediction.lower_bound)),
-                repr(float(w.prediction.worst_case_q)),
+                repr(w.prediction.lower_bound),
+                repr(w.prediction.worst_case_q),
                 "true" if w.meets_threshold else "false",
             ]
             for w in trace.windows
@@ -206,17 +206,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _write_csv(
             args.csv,
             SWEEP_CSV_HEADER,
-            [
-                [
-                    repr(row.p_nf),
-                    row.r,
-                    row.n,
-                    repr(row.lower_bound),
-                    repr(row.worst_case_q),
-                    repr(row.excess_over_floor),
-                ]
-                for row in rows
-            ],
+            [[repr(getattr(row, column)) for column in SWEEP_CSV_HEADER] for row in rows],
         )
     print(f"{'p_nf':>10} {'r':>12} {'n':>12} {'lower_bound':>18} {'worst_case_q':>14} {'excess':>12}")
     for row in rows:

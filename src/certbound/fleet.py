@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .inference import Evidence, SurvivalPrediction, worst_case_survival
+from .inference import SurvivalPrediction, worst_case_survival
 from .reliability import Probability, check_demand_count
 
 __all__ = [
@@ -95,7 +95,7 @@ class LogisticGrowth:
         n0 = self.initial_fleet
         cap = self.carrying_capacity
         size = cap / (1.0 + (cap - n0) / n0 * math.exp(-self.growth_rate * window_index))
-        return int(math.floor(size + 0.5))  # aircraft are discrete; round half up
+        return int(size + 0.5)  # aircraft are discrete; size > 0, so this rounds half up
 
 
 FleetGrowthModel = Union[ConstantGrowth, LinearGrowth, LogisticGrowth]
@@ -104,7 +104,8 @@ FleetGrowthModel = Union[ConstantGrowth, LinearGrowth, LogisticGrowth]
 @dataclass(frozen=True)
 class FleetScenario:
     """Everything a bootstrap run needs: growth, demand rate, windows,
-    assessed fault-freeness, starting evidence, and the pass threshold.
+    assessed fault-freeness, starting evidence (a count of failure-free
+    demands already observed), and the pass threshold.
 
     ``include_remaining_lifetime`` additionally records, at each window, the
     prediction over all demands remaining in the scenario, for comparison
@@ -115,7 +116,7 @@ class FleetScenario:
     demands_per_aircraft_per_window: int
     window_count: int
     p_nf: Probability
-    initial_evidence: Evidence
+    initial_evidence: int
     confidence_threshold: Probability
     include_remaining_lifetime: bool = False
 
@@ -125,11 +126,11 @@ class FleetScenario:
                 "demands_per_aircraft_per_window must be >= 1, "
                 f"got {self.demands_per_aircraft_per_window}"
             )
+        check_demand_count(self.demands_per_aircraft_per_window, "demands_per_aircraft_per_window")
         check_demand_count(self.window_count, "window_count")
+        check_demand_count(self.initial_evidence, "initial_evidence")
         object.__setattr__(self, "p_nf", Probability(self.p_nf))
         object.__setattr__(self, "confidence_threshold", Probability(self.confidence_threshold))
-        if isinstance(self.initial_evidence, int):
-            object.__setattr__(self, "initial_evidence", Evidence(self.initial_evidence))
 
 
 @dataclass(frozen=True)
@@ -151,10 +152,6 @@ class BootstrapTrace:
     windows: tuple[WindowRecord, ...]
     cumulative_demands: int
     threshold: Probability
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "windows", tuple(self.windows))
-        object.__setattr__(self, "threshold", Probability(self.threshold))
 
 
 @dataclass(frozen=True)
@@ -187,7 +184,7 @@ def run_bootstrap(scenario: FleetScenario) -> BootstrapTrace:
         demands_in_window(scenario, w) for w in range(scenario.window_count)
     ]
     remaining = sum(window_demands)
-    r = scenario.initial_evidence.r
+    r = scenario.initial_evidence
     records = []
     for w, n_w in enumerate(window_demands):
         prediction = worst_case_survival(scenario.p_nf, r, n_w)
@@ -217,7 +214,7 @@ def run_bootstrap(scenario: FleetScenario) -> BootstrapTrace:
 def check_feasibility(trace: BootstrapTrace) -> FeasibilityVerdict:
     """Summarize a trace: did every window clear its threshold, and by how much?"""
     failing = [w.window_index for w in trace.windows if not w.meets_threshold]
-    margins = [float(w.prediction.lower_bound) - float(trace.threshold) for w in trace.windows]
+    margins = [w.prediction.lower_bound - float(trace.threshold) for w in trace.windows]
     return FeasibilityVerdict(
         all_windows_pass=not failing,
         first_failing_window=failing[0] if failing else None,

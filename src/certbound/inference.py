@@ -20,6 +20,7 @@ two can check each other.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -29,11 +30,8 @@ import numpy as np
 from .reliability import Probability, check_demand_count, log_survive_run
 
 __all__ = [
-    "Evidence",
     "DiscretePrior",
     "SurvivalPrediction",
-    "PointPredictive",
-    "SweepRow",
     "DegenerateConditioningError",
     "predictive_given_point_prior",
     "worst_case_survival",
@@ -48,16 +46,6 @@ _GRID_Q_MIN = 1e-15
 
 class DegenerateConditioningError(ValueError):
     """The prior assigns zero probability to the observed failure-free run."""
-
-
-@dataclass(frozen=True)
-class Evidence:
-    """A count of consecutive failure-free demands already observed."""
-
-    r: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "r", check_demand_count(self.r, "r"))
 
 
 @dataclass(frozen=True)
@@ -87,60 +75,24 @@ class DiscretePrior:
             raise ValueError(f"p_nf + atom weights must sum to 1, got {total!r}")
 
 
-class PointPredictive(Probability):
-    """Predictive probability from a single-atom prior.
-
-    Behaves as a float; ``degenerate`` is True when the inputs conditioned on
-    a zero-probability event (p_nf = 0, q = 1, r >= 1) and the value is the
-    q -> 1 limit.
-    """
-
-    __slots__ = ("degenerate",)
-
-    degenerate: bool
-
-    def __new__(cls, value: float, degenerate: bool = False) -> "PointPredictive":
-        self = super().__new__(cls, value)
-        self.degenerate = degenerate
-        return self
-
-
 @dataclass(frozen=True)
 class SurvivalPrediction:
-    """Conservative lower bound on surviving n further demands after r successes."""
+    """Conservative lower bound on surviving n further demands after r
+    failure-free ones, with the q where the worst case lies.
 
-    lower_bound: Probability
-    worst_case_q: Probability
-    floor: Probability
-    r: int
-    n: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lower_bound", Probability(self.lower_bound))
-        object.__setattr__(self, "worst_case_q", Probability(self.worst_case_q))
-        object.__setattr__(self, "floor", Probability(self.floor))
-        object.__setattr__(self, "r", check_demand_count(self.r, "r"))
-        object.__setattr__(self, "n", check_demand_count(self.n, "n"))
-        if self.lower_bound < self.floor:
-            raise ValueError(
-                f"lower_bound {self.lower_bound!r} below floor {self.floor!r}"
-            )
-
-    @property
-    def excess_over_floor(self) -> float:
-        return float(self.lower_bound) - float(self.floor)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One cell of a worst-case sweep, in the CSV column order."""
+    The fields are plain floats and ints in the sweep CSV's column order.
+    ``p_nf`` is the floor: the bound is never below it.
+    """
 
     p_nf: float
     r: int
     n: int
     lower_bound: float
     worst_case_q: float
-    excess_over_floor: float
+
+    @property
+    def excess_over_floor(self) -> float:
+        return self.lower_bound - self.p_nf
 
 
 def _logsumexp(values: Iterable[float]) -> float:
@@ -149,12 +101,6 @@ def _logsumexp(values: Iterable[float]) -> float:
     if m == -math.inf:
         return -math.inf
     return m + math.log(math.fsum(math.exp(v - m) for v in vals))
-
-
-def _evidence_count(r: "int | Evidence") -> int:
-    if isinstance(r, Evidence):
-        return r.r
-    return check_demand_count(r, "r")
 
 
 def _log_add_exp(u: float, v: float) -> float:
@@ -179,28 +125,21 @@ def _log_g(a: float, x: float, r: int, n: int) -> float:
     return log_num - log_den
 
 
-def _log_point_predictive(a: float, q: float, r: int, n: int) -> tuple[float, bool]:
-    """log g(q) for the point-mass prior, plus a degenerate-conditioning flag."""
-    if n == 0 or q == 0.0 or a == 1.0:
-        return 0.0, False
-    if q == 1.0:
-        if r == 0:
-            return (math.log(a) if a > 0.0 else -math.inf), False
-        if a > 0.0:
-            return 0.0, False  # surviving r demands at q = 1 forces the fault-free branch
-        return -math.inf, True  # q -> 1 limit of (1 - q)**n, n >= 1
-    if a == 0.0:
-        return n * math.log1p(-q), False
-    return _log_g(a, math.log1p(-q), r, n), False
+@functools.lru_cache(maxsize=1)
+def _oracle_grid(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's q grid and log1p(-q) on it, read-only; kept for the last K."""
+    qs = np.concatenate([[0.0], np.geomspace(_GRID_Q_MIN, 1.0, K - 1), [1.0]])
+    with np.errstate(divide="ignore"):
+        lu = np.log1p(-qs)  # -inf at q == 1
+    qs.flags.writeable = lu.flags.writeable = False
+    return qs, lu
 
 
-def _log_predictive_vec(a: float, q: np.ndarray, r: int, n: int) -> np.ndarray:
-    """Vectorized log g(q) over an array of q in [0, 1]; n >= 1 assumed.
+def _log_predictive_vec(a: float, lu: np.ndarray, r: int, n: int) -> np.ndarray:
+    """Vectorized log g over an array of x = log(1 - q), q in [0, 1]; n >= 1 assumed.
 
     At q == 1 with a == 0 and r >= 1 the entry is the q -> 1 limit (-inf).
     """
-    with np.errstate(divide="ignore"):
-        lu = np.log1p(-q)  # -inf at q == 1
     if a == 0.0:
         return n * lu
     log_a = math.log(a)
@@ -212,22 +151,33 @@ def _log_predictive_vec(a: float, q: np.ndarray, r: int, n: int) -> np.ndarray:
     return log_num - log_den
 
 
-def predictive_given_point_prior(
-    p_nf: float, q: float, r: int, n: int
-) -> PointPredictive:
+def predictive_given_point_prior(p_nf: float, q: float, r: int, n: int) -> Probability:
     """Probability of surviving n further demands after r failure-free ones,
     under the prior "fault-free with probability p_nf, else failure rate exactly q".
 
-    Evaluates g(q) in the log domain.  The degenerate combination
-    p_nf = 0, q = 1, r >= 1 conditions on a zero-probability event; the result
-    is the q -> 1 limit and is flagged rather than raised.
+    Evaluates g(q) in the log domain.
+
+    Raises:
+        DegenerateConditioningError: if p_nf = 0, q = 1 and r, n >= 1, where
+            the prior gives the observed r failure-free demands no probability.
     """
-    a = Probability(p_nf)
-    qv = Probability(q)
+    a = float(Probability(p_nf))
+    q = float(Probability(q))
     r = check_demand_count(r, "r")
     n = check_demand_count(n, "n")
-    log_g, degenerate = _log_point_predictive(float(a), float(qv), r, n)
-    return PointPredictive(min(1.0, math.exp(log_g)), degenerate)
+    if n == 0 or q == 0.0 or a == 1.0:
+        log_g = 0.0
+    elif q < 1.0:
+        log_g = n * math.log1p(-q) if a == 0.0 else _log_g(a, math.log1p(-q), r, n)
+    elif r == 0:
+        log_g = math.log(a) if a > 0.0 else -math.inf
+    elif a > 0.0:
+        log_g = 0.0  # surviving r demands at q = 1 forces the fault-free branch
+    else:
+        raise DegenerateConditioningError(
+            f"p_nf = 0 and q = 1 assign probability 0 to surviving r={r} demands"
+        )
+    return Probability(min(1.0, math.exp(log_g)))
 
 
 def _stationarity_root(a: float, r: int, n: int) -> float:
@@ -270,18 +220,12 @@ def _stationarity_root(a: float, r: int, n: int) -> float:
     return x_hi
 
 
-def _prediction(value: float, q: float, p_nf: float, r: int, n: int) -> SurvivalPrediction:
-    clamped = min(1.0, max(float(p_nf), value))
-    return SurvivalPrediction(
-        lower_bound=Probability(clamped),
-        worst_case_q=Probability(q),
-        floor=Probability(p_nf),
-        r=r,
-        n=n,
-    )
+def _prediction(value: float, q: float, a: float, r: int, n: int) -> SurvivalPrediction:
+    """The record for bound ``value`` at ``q``, clamped to [a, 1] so the floor holds."""
+    return SurvivalPrediction(a, r, n, min(1.0, max(a, value)), q)
 
 
-def worst_case_survival(p_nf: float, r: "int | Evidence", n: int) -> SurvivalPrediction:
+def worst_case_survival(p_nf: float, r: int, n: int) -> SurvivalPrediction:
     """Minimum over q in [0, 1] of the point-prior predictive, with its location.
 
     This is the guaranteed-conservative bound: no prior consistent with the
@@ -293,23 +237,22 @@ def worst_case_survival(p_nf: float, r: "int | Evidence", n: int) -> SurvivalPre
     x = log(1 - q) and g is evaluated at x, so the bound stays accurate where
     1 - q underflows against 1.
     """
-    a = Probability(p_nf)
-    r = _evidence_count(r)
+    a = float(Probability(p_nf))
+    r = check_demand_count(r, "r")
     n = check_demand_count(n, "n")
 
     if n == 0 or a == 1.0:
         return _prediction(1.0, 0.0, a, r, n)
     if r == 0:
-        return _prediction(float(a), 1.0, a, r, n)
+        return _prediction(a, 1.0, a, r, n)
     if a == 0.0:
         return _prediction(0.0, 1.0, a, r, n)
 
-    x = _stationarity_root(float(a), r, n)
-    value = math.exp(_log_g(float(a), x, r, n))
-    return _prediction(value, -math.expm1(x), a, r, n)
+    x = _stationarity_root(a, r, n)
+    return _prediction(math.exp(_log_g(a, x, r, n)), -math.expm1(x), a, r, n)
 
 
-def grid_worst_case(p_nf: float, r: "int | Evidence", n: int, K: int) -> SurvivalPrediction:
+def grid_worst_case(p_nf: float, r: int, n: int, K: int) -> SurvivalPrediction:
     """Brute-force minimum of the point-prior predictive over a fixed grid.
 
     The grid is K - 1 points log-spaced in q over [1e-15, 1] plus the
@@ -318,8 +261,8 @@ def grid_worst_case(p_nf: float, r: "int | Evidence", n: int, K: int) -> Surviva
     to the smallest q.  This is the oracle worst_case_survival is checked
     against; it deliberately shares no search logic with the optimizer.
     """
-    a = Probability(p_nf)
-    r = _evidence_count(r)
+    a = float(Probability(p_nf))
+    r = check_demand_count(r, "r")
     n = check_demand_count(n, "n")
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
@@ -327,15 +270,15 @@ def grid_worst_case(p_nf: float, r: "int | Evidence", n: int, K: int) -> Surviva
     if n == 0:
         return _prediction(1.0, 0.0, a, r, n)
 
-    qs = np.concatenate([[0.0], np.geomspace(_GRID_Q_MIN, 1.0, K - 1), [1.0]])
-    logg = _log_predictive_vec(float(a), qs, r, n)
+    qs, lu = _oracle_grid(K)
+    logg = _log_predictive_vec(a, lu, r, n)
     # a == 0, q == 1, r >= 1 divides -inf by -inf; patch with the q -> 1 limit.
     logg = np.where(np.isnan(logg), -math.inf, logg)
     i = int(np.argmin(logg))
     return _prediction(math.exp(float(logg[i])), float(qs[i]), a, r, n)
 
 
-def posterior_predictive_discrete(prior: DiscretePrior, r: "int | Evidence", n: int) -> Probability:
+def posterior_predictive_discrete(prior: DiscretePrior, r: int, n: int) -> Probability:
     """Exact Bayesian posterior predictive for a finite mixture prior.
 
     Returns
@@ -347,7 +290,7 @@ def posterior_predictive_discrete(prior: DiscretePrior, r: "int | Evidence", n: 
         DegenerateConditioningError: if the denominator is zero, i.e. the
             prior gives the observed r failure-free demands no probability.
     """
-    r = _evidence_count(r)
+    r = check_demand_count(r, "r")
     n = check_demand_count(n, "n")
     log_pnf = prior.p_nf.log
     log_den_terms = [log_pnf] + [
@@ -369,26 +312,11 @@ def sweep(
     p_nf_grid: Sequence[float],
     r_grid: Sequence[int],
     n_grid: Sequence[int],
-) -> list[SweepRow]:
+) -> list[SurvivalPrediction]:
     """worst_case_survival over the Cartesian product of the three grids.
 
     Rows are emitted in input order, p_nf outermost and n innermost.
     """
     if not p_nf_grid or not r_grid or not n_grid:
         raise ValueError("sweep grids must be non-empty")
-    rows = []
-    for p_nf in p_nf_grid:
-        for r in r_grid:
-            for n in n_grid:
-                pred = worst_case_survival(p_nf, r, n)
-                rows.append(
-                    SweepRow(
-                        p_nf=float(pred.floor),
-                        r=pred.r,
-                        n=pred.n,
-                        lower_bound=float(pred.lower_bound),
-                        worst_case_q=float(pred.worst_case_q),
-                        excess_over_floor=pred.excess_over_floor,
-                    )
-                )
-    return rows
+    return [worst_case_survival(p, r, n) for p in p_nf_grid for r in r_grid for n in n_grid]

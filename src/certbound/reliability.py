@@ -73,6 +73,8 @@ class Probability(float):
 
 def check_demand_count(value: int, name: str = "count") -> int:
     """Validate a demand count: a non-negative integer (plain ints cover 10**12 exactly)."""
+    if isinstance(value, bool):  # an int subclass, but never a count
+        raise TypeError(f"{name} must be an integer, got {value!r}")
     try:
         n = operator.index(value)
     except TypeError:
@@ -102,14 +104,6 @@ class MonteCarloEstimate:
     standard_error: float
     trials: int
     seed: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.estimate <= 1.0:
-            raise ValueError(f"estimate out of [0, 1]: {self.estimate}")
-        if self.standard_error < 0.0:
-            raise ValueError(f"standard_error must be >= 0: {self.standard_error}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1: {self.trials}")
 
 
 def log_survive_run(q: float, k: int) -> float:
@@ -178,6 +172,7 @@ def monte_carlo_survival(
     n = check_demand_count(n, "n")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    check_demand_count(trials, "trials")  # after the range test, so -5 reads ">= 1"
     if n >= _GEOMETRIC_CAP:
         raise InfeasibleScaleError(
             f"n = {n} is not below 2**63 - 1, where geometric draws saturate"

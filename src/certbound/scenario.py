@@ -33,7 +33,7 @@ from .fleet import (
     LinearGrowth,
     LogisticGrowth,
 )
-from .inference import DiscretePrior, Evidence
+from .inference import DiscretePrior
 from .reliability import MixtureModel, Probability
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "ScenarioSyntaxError",
     "ScenarioValidationError",
     "ModelSection",
+    "Evidence",
     "Query",
     "AssessmentSpec",
     "SweepGrids",
@@ -78,6 +79,13 @@ class ModelSection:
                 "model.p_f_given_faulty: required for survival computations"
             )
         return MixtureModel(p_nf=self.p_nf, p_f_given_faulty=self.p_f_given_faulty)
+
+
+@dataclass(frozen=True)
+class Evidence:
+    """A count of consecutive failure-free demands already observed."""
+
+    r: int
 
 
 @dataclass(frozen=True)
@@ -232,7 +240,6 @@ _COUNT = _scalar("an integer", (int,), _non_negative, int)
 _PROBABILITY = _scalar("a number", (int, float), lambda v: Probability(float(v)), float)
 _STR = _scalar("a string", (str,))
 _BOOL = _scalar("a boolean", (bool,))
-_EVIDENCE = _Kind(lambda v, path: Evidence(_COUNT.load(v, path)), lambda e: int(e.r))
 
 _GROWTH = _tagged({
     "constant": _variant(ConstantGrowth, {"initial_fleet": _INT}),
@@ -263,7 +270,7 @@ _SECTIONS: dict[str, _Kind] = {
             "demands_per_aircraft_per_window": _INT,
             "window_count": _COUNT,
             "p_nf": _PROBABILITY,
-            "initial_evidence": _EVIDENCE,
+            "initial_evidence": _COUNT,
             "confidence_threshold": _PROBABILITY,
             "include_remaining_lifetime": _BOOL,
         },

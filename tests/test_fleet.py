@@ -12,7 +12,7 @@ from certbound.fleet import (
     demands_in_window,
     run_bootstrap,
 )
-from certbound.inference import Evidence, grid_worst_case, worst_case_survival
+from certbound.inference import grid_worst_case, worst_case_survival
 
 
 def constant_scenario(**overrides):
@@ -21,7 +21,7 @@ def constant_scenario(**overrides):
         demands_per_aircraft_per_window=10**3,
         window_count=20,
         p_nf=0.99,
-        initial_evidence=Evidence(10**3),
+        initial_evidence=10**3,
         confidence_threshold=0.99,
     )
     base.update(overrides)
@@ -140,9 +140,13 @@ class TestRunBootstrap:
         last = trace.windows[-1]
         assert last.remaining_lifetime == last.prediction
 
-    def test_initial_evidence_accepts_plain_int(self):
-        scenario = constant_scenario(initial_evidence=500)
-        assert scenario.initial_evidence == Evidence(500)
+    def test_negative_initial_evidence_raises(self):
+        with pytest.raises(ValueError, match="initial_evidence"):
+            constant_scenario(initial_evidence=-1)
+
+    def test_fractional_demand_rate_raises(self):
+        with pytest.raises(TypeError, match="demands_per_aircraft_per_window"):
+            constant_scenario(demands_per_aircraft_per_window=2.5)
 
 
 class TestCheckFeasibility:

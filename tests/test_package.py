@@ -10,14 +10,14 @@ EXPORTED = {
     "FleetScenario", "LinearGrowth", "LogisticGrowth", "WindowRecord",
     "check_feasibility", "demands_in_window", "run_bootstrap",
     # inference
-    "DegenerateConditioningError", "DiscretePrior", "Evidence", "PointPredictive",
-    "SurvivalPrediction", "SweepRow", "grid_worst_case", "posterior_predictive_discrete",
-    "predictive_given_point_prior", "sweep", "worst_case_survival",
+    "DegenerateConditioningError", "DiscretePrior", "SurvivalPrediction", "grid_worst_case",
+    "posterior_predictive_discrete", "predictive_given_point_prior", "sweep",
+    "worst_case_survival",
     # reliability
     "InfeasibleScaleError", "MixtureModel", "MonteCarloEstimate", "Probability",
     "check_demand_count", "monte_carlo_survival", "pfd", "survival_probability",
     # scenario
-    "AssessmentSpec", "ModelSection", "Query", "ScenarioError", "ScenarioFile",
+    "AssessmentSpec", "Evidence", "ModelSection", "Query", "ScenarioError", "ScenarioFile",
     "ScenarioIOError", "ScenarioSyntaxError", "ScenarioValidationError", "SweepGrids",
     "parse_scenario", "serialize_scenario",
 }

@@ -149,6 +149,11 @@ class TestMonteCarlo:
         mc = monte_carlo_survival(model, 10**7, trials=10**4, seed=0)
         assert abs(mc.estimate - survival_probability(model, 10**7)) <= 3.0 * mc.standard_error
 
+    @pytest.mark.parametrize("trials", [True, 2.5])
+    def test_non_integer_trials_rejected(self, trials):
+        with pytest.raises(TypeError, match="trials must be an integer"):
+            monte_carlo_survival(MixtureModel(0.5, 0.1), 10, trials=trials, seed=0)
+
     def test_unresolvable_scale_refused(self):
         with pytest.raises(InfeasibleScaleError):
             monte_carlo_survival(MixtureModel(0.5, 0.1), 2**63 - 1, trials=10, seed=0)

@@ -146,7 +146,7 @@ def test_bootstrap_section_builds_fleet_scenario():
     fleet = scenario.bootstrap
     assert fleet.growth == LinearGrowth(initial_fleet=25, added_per_window=25)
     assert fleet.window_count == 40
-    assert fleet.initial_evidence.r == 1000
+    assert fleet.initial_evidence == 1000
     assert float(fleet.confidence_threshold) == 0.99
 
 
