@@ -35,6 +35,12 @@ __all__ = [
 ]
 
 
+def _check_initial_fleet(size: int) -> None:
+    if size < 1:
+        raise ValueError(f"initial_fleet must be >= 1, got {size}")
+    check_demand_count(size, "initial_fleet")
+
+
 @dataclass(frozen=True)
 class ConstantGrowth:
     """Fixed fleet size in every window."""
@@ -44,8 +50,7 @@ class ConstantGrowth:
     kind = "constant"
 
     def __post_init__(self) -> None:
-        if self.initial_fleet < 1:
-            raise ValueError(f"initial_fleet must be >= 1, got {self.initial_fleet}")
+        _check_initial_fleet(self.initial_fleet)
 
     def fleet_size(self, window_index: int) -> int:
         return self.initial_fleet
@@ -61,10 +66,8 @@ class LinearGrowth:
     kind = "linear"
 
     def __post_init__(self) -> None:
-        if self.initial_fleet < 1:
-            raise ValueError(f"initial_fleet must be >= 1, got {self.initial_fleet}")
-        if self.added_per_window < 0:
-            raise ValueError(f"added_per_window must be >= 0, got {self.added_per_window}")
+        _check_initial_fleet(self.initial_fleet)
+        check_demand_count(self.added_per_window, "added_per_window")
 
     def fleet_size(self, window_index: int) -> int:
         return self.initial_fleet + self.added_per_window * window_index
@@ -81,8 +84,7 @@ class LogisticGrowth:
     kind = "logistic"
 
     def __post_init__(self) -> None:
-        if self.initial_fleet < 1:
-            raise ValueError(f"initial_fleet must be >= 1, got {self.initial_fleet}")
+        _check_initial_fleet(self.initial_fleet)
         if not (math.isfinite(self.growth_rate) and self.growth_rate >= 0.0):
             raise ValueError(f"growth_rate must be finite and >= 0, got {self.growth_rate}")
         if self.carrying_capacity < self.initial_fleet:
@@ -90,6 +92,7 @@ class LogisticGrowth:
                 f"carrying_capacity {self.carrying_capacity} below "
                 f"initial_fleet {self.initial_fleet}"
             )
+        check_demand_count(self.carrying_capacity, "carrying_capacity")
 
     def fleet_size(self, window_index: int) -> int:
         n0 = self.initial_fleet

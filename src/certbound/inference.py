@@ -42,6 +42,9 @@ __all__ = [
 
 # Brute-force oracle grid runs log-spaced over [_GRID_Q_MIN, 1] plus {0, 1}.
 _GRID_Q_MIN = 1e-15
+# Newton steps allowed for the stationarity root, which takes about ln(r/n) of
+# them when r >> n and p_nf is small: about 30 for r <= 10**12.
+_NEWTON_STEP_CAP = 1000
 
 
 class DegenerateConditioningError(ValueError):
@@ -188,36 +191,32 @@ def _stationarity_root(a: float, r: int, n: int) -> float:
 
         (1 + n/r)*u**n + (b/a)*(n/r)*u**(r + n) = 1
 
-    whose left side increases monotonically in u, so the root is found by
-    bisection on x = log u.  Scaled this way both sides are O(1), so the
-    comparison keeps its resolution when r >> n.  Accuracy in x is pushed to
-    float resolution so the stationarity residual stays negligible even for
-    n ~ 10**9.
+    Scaled this way both sides are O(1), so the root keeps its resolution
+    when r >> n.  In x = log u the equation is F(x) = 0, where the log of the
+    left side, F(x) = logaddexp(c1 + n*x, c2 + (r + n)*x), is convex and
+    increasing.  Newton's method starts at x = -c1/n, where the first term
+    alone makes F >= 0; right of the root each tangent of such an F meets
+    zero between the root and x, so the iterates fall monotonically and never
+    overshoot.  It stops at the first step that no longer decreases x, and
+    raises ArithmeticError after _NEWTON_STEP_CAP steps.
     """
     c1 = math.log1p(n / r)
     c2 = math.log1p(-a) - math.log(a) + math.log(n) - math.log(r)
-
-    def above(x: float) -> bool:
-        return _log_add_exp(c1 + n * x, c2 + (r + n) * x) > 0.0
-
-    # At x_hi the first term alone equals the right side, so the sign is positive.
-    x_hi = -c1 / n
-    step = max(1.0, abs(x_hi))
-    x_lo = x_hi - step
-    while above(x_lo):
-        step *= 2.0
-        x_lo = x_hi - step
-        if not math.isfinite(x_lo):  # pragma: no cover - unreachable for valid inputs
-            raise ArithmeticError("stationarity bracket search diverged")
-    for _ in range(200):
-        mid = 0.5 * (x_lo + x_hi)
-        if mid <= x_lo or mid >= x_hi:
-            break
-        if above(mid):
-            x_hi = mid
+    n, s = float(n), float(r + n)
+    x = -c1 / n
+    for _ in range(_NEWTON_STEP_CAP):
+        # F and F' from the same two exponentials, the larger one factored out.
+        t1, t2 = c1 + n * x, c2 + s * x
+        if t1 >= t2:
+            e = math.exp(t2 - t1)
+            x_next = x - (t1 + math.log1p(e)) * (1.0 + e) / (n + s * e)
         else:
-            x_lo = mid
-    return x_hi
+            e = math.exp(t1 - t2)
+            x_next = x - (t2 + math.log1p(e)) * (1.0 + e) / (s + n * e)
+        if x_next >= x:
+            return x
+        x = x_next
+    raise ArithmeticError(f"stationarity root took over {_NEWTON_STEP_CAP} Newton steps")
 
 
 def _prediction(value: float, q: float, a: float, r: int, n: int) -> SurvivalPrediction:
@@ -272,8 +271,6 @@ def grid_worst_case(p_nf: float, r: int, n: int, K: int) -> SurvivalPrediction:
 
     qs, lu = _oracle_grid(K)
     logg = _log_predictive_vec(a, lu, r, n)
-    # a == 0, q == 1, r >= 1 divides -inf by -inf; patch with the q -> 1 limit.
-    logg = np.where(np.isnan(logg), -math.inf, logg)
     i = int(np.argmin(logg))
     return _prediction(math.exp(float(logg[i])), float(qs[i]), a, r, n)
 

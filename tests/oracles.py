@@ -93,8 +93,8 @@ def minimize_point_predictive_log1m_mp(p_nf, r, n, iterations=200):
     return f(t), -mp.exp(t)
 
 
-def stationarity_root_mp(p_nf, r, n, iterations=300):
-    """q at the interior root of a*(r+n)*u**n + b*n*u**(r+n) = a*r, u = 1 - q.
+def stationarity_root_log1m_mp(p_nf, r, n, iterations=300):
+    """x = log(1 - q) at the interior root of a*(r+n)*u**n + b*n*u**(r+n) = a*r, u = 1 - q.
 
     Bisection in x = log u on the undivided equation; the left side
     increases with x and exceeds a*r at x = log(r / (r + n)) / n.
@@ -112,7 +112,12 @@ def stationarity_root_mp(p_nf, r, n, iterations=300):
             hi = mid
         else:
             lo = mid
-    return -mp.expm1((lo + hi) / 2)
+    return (lo + hi) / 2
+
+
+def stationarity_root_mp(p_nf, r, n, iterations=300):
+    """q at the interior root found by ``stationarity_root_log1m_mp``."""
+    return -mp.expm1(stationarity_root_log1m_mp(p_nf, r, n, iterations))
 
 
 def per_demand_survival_fraction(p_nf, q, n, trials, seed):

@@ -58,12 +58,29 @@ class TestGrowthModels:
         assert growth.fleet_size(1) == 3
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="initial_fleet must be >= 1, got 0"):
             ConstantGrowth(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="added_per_window must be >= 0, got -1"):
             LinearGrowth(initial_fleet=1, added_per_window=-1)
         with pytest.raises(ValueError):
             LogisticGrowth(initial_fleet=10, growth_rate=0.1, carrying_capacity=9)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ConstantGrowth(2.5),
+            lambda: ConstantGrowth(True),
+            lambda: LinearGrowth(initial_fleet=1.5, added_per_window=1),
+            lambda: LinearGrowth(initial_fleet=1, added_per_window=0.5),
+            lambda: LogisticGrowth(initial_fleet=1.5, growth_rate=0.1, carrying_capacity=5),
+            lambda: LogisticGrowth(initial_fleet=1, growth_rate=0.1, carrying_capacity=5.5),
+        ],
+        ids=["constant", "constant-bool", "linear-initial", "linear-added",
+             "logistic-initial", "logistic-capacity"],
+    )
+    def test_fractional_counts_raise(self, make):
+        with pytest.raises(TypeError):
+            make()
 
 
 class TestDemandsInWindow:

@@ -61,7 +61,19 @@ def cases() -> list[list[str]]:
     return shipped + INLINE
 
 
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def _csv_with(key: str, moved: dict[str, str]) -> dict:
+    """The recorded CSV of ``key`` with each field in ``moved`` replaced."""
+    rows = _golden()[key]["csv"].split("\r\n")
+    return {"csv": "\r\n".join(",".join(moved.get(f, f) for f in row.split(",")) for row in rows)}
+
+
 # Calls whose output changed on purpose since the recording.
+BOOTSTRAP_CSV = "bootstrap --scenario scenarios/fleet_bootstrap.yaml --csv <csv>"
+SWEEP_CSV = "sweep --scenario scenarios/sweep_grid.yaml --csv <csv>"
 _REJECTED = {"exit": 4, "stdout": "", "csv": None}
 _USAGE = {"exit": 5}
 _UNWRITABLE = {"exit": 2, "stdout": "", "csv": None}
@@ -90,6 +102,47 @@ CHANGED = {
     # Usage errors have their own exit code.
     "sweep --r 1e3": _USAGE,
     "frobnicate": _USAGE,
+    # The stationarity root is found by Newton's method, not bisection: each of
+    # these worst_case_q values moves by at most 2.8e-16 relative, and window
+    # 22's lower_bound by 1 ulp, all within 3e-16 of the 60-digit values.
+    BOOTSTRAP_CSV: _csv_with(BOOTSTRAP_CSV, {
+        "3.8766252885512255e-05": "3.876625288551226e-05",
+        "1.8515385744813876e-06": "1.8515385744813874e-06",
+        "1.024322968347531e-06": "1.0243229683475312e-06",
+        "4.500788279459577e-07": "4.5007882794595776e-07",
+        "2.521786587708624e-07": "2.521786587708625e-07",
+        "1.9904296941424105e-07": "1.9904296941424108e-07",
+        "1.611039366723569e-07": "1.6110393667235693e-07",
+        "1.330700174781761e-07": "1.3307001747817611e-07",
+        "1.1176874066997594e-07": "1.1176874066997595e-07",
+        "9.520375464378844e-08": "9.520375464378847e-08",
+        "8.2067663791569e-08": "8.206766379156902e-08",
+        "7.147510616533363e-08": "7.147510616533364e-08",
+        "6.280917288493334e-08": "6.280917288493335e-08",
+        "5.562930765091068e-08": "5.5629307650910684e-08",
+        "4.9614078841925056e-08": "4.961407884192506e-08",
+        "3.64416867181532e-08": "3.644168671815321e-08",
+        "3.3201976500431864e-08": "3.320197650043187e-08",
+        "0.999678028107956": "0.9996780281079559",
+        "3.037591806369043e-08": "3.037591806369044e-08",
+        "2.5707809384937845e-08": "2.5707809384937848e-08",
+        "2.376740506549738e-08": "2.3767405065497382e-08",
+        "2.2038707708882653e-08": "2.2038707708882657e-08",
+        "2.049199964603291e-08": "2.0491999646032914e-08",
+        "1.784987823784238e-08": "1.7849878237842383e-08",
+        "1.671647372713709e-08": "1.6716473727137092e-08",
+        "1.475106379122727e-08": "1.4751063791227271e-08",
+        "1.173334720039028e-08": "1.1733347200390282e-08",
+        "1.1123794456029795e-08": "1.1123794456029797e-08",
+        "1.0039009696785462e-08": "1.0039009696785463e-08",
+    }),
+    SWEEP_CSV: _csv_with(SWEEP_CSV, {
+        "0.00047138042372539443": "0.0004713804237253945",
+        "7.198082631239405e-05": "7.198082631239406e-05",
+        "0.0004623555043552599": "0.00046235550435525994",
+        "0.00024047998571383481": "0.00024047998571383484",
+        "6.956387242751957e-05": "6.956387242751959e-05",
+    }),
 }
 
 
@@ -108,10 +161,6 @@ def run(argv: list[str], csv_path: Path) -> dict:
             code = exc.code
     csv_text = csv_path.read_bytes().decode("utf-8") if csv_path.exists() else None
     return {"exit": code, "stdout": out.getvalue().replace(str(csv_path), CSV), "csv": csv_text}
-
-
-def _golden() -> dict:
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
 def test_golden_covers_every_case():

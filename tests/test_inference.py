@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from certbound import inference
 from certbound.inference import (
     DegenerateConditioningError,
     DiscretePrior,
@@ -22,6 +23,7 @@ from oracles import (
     minimize_point_predictive_log1m_mp,
     minimize_point_predictive_mp,
     point_predictive_mp,
+    stationarity_root_log1m_mp,
     stationarity_root_mp,
 )
 
@@ -210,6 +212,23 @@ class TestWorstCase:
         expected = stationarity_root_mp(p_nf, r, n)
         assert q > 0.0
         assert float(abs(q - expected) / expected) <= 1e-12, (q, expected)
+
+    # extreme_counts starts at 10**0, so r, n >= 1: the root's domain.
+    @given(extreme_p_nf, extreme_counts, extreme_counts)
+    @example(1e-300, 10**12, 1)
+    @example(1e-300, 1, 1)
+    @example(1.0 - 1e-15, 10**12, 10**12)
+    @settings(max_examples=60, deadline=None)
+    def test_stationarity_root_matches_high_precision_root(self, p_nf, r, n):
+        # A root that reached the step cap would raise ArithmeticError here.
+        x = inference._stationarity_root(p_nf, r, n)
+        expected = stationarity_root_log1m_mp(p_nf, r, n, iterations=200)
+        assert float(abs(x - expected) / abs(expected)) <= 1e-14, (p_nf, r, n, x, expected)
+
+    def test_stationarity_root_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(inference, "_NEWTON_STEP_CAP", 1)
+        with pytest.raises(ArithmeticError):
+            worst_case_survival(0.9, 10**3, 10**4)
 
     @given(
         probabilities,
