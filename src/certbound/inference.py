@@ -43,7 +43,8 @@ __all__ = [
 # Brute-force oracle grid runs log-spaced over [_GRID_Q_MIN, 1] plus {0, 1}.
 _GRID_Q_MIN = 1e-15
 # Newton steps allowed for the stationarity root, which takes about ln(r/n) of
-# them when r >> n and p_nf is small: about 30 for r <= 10**12.
+# them when r >> n and p_nf is small: about 30 for r <= 10**12, and at most
+# ln(2**1022) = 708 for any valid count, so valid input never reaches the cap.
 _NEWTON_STEP_CAP = 1000
 
 
@@ -78,7 +79,7 @@ class DiscretePrior:
             raise ValueError(f"p_nf + atom weights must sum to 1, got {total!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SurvivalPrediction:
     """Conservative lower bound on surviving n further demands after r
     failure-free ones, with the q where the worst case lies.
@@ -93,9 +94,22 @@ class SurvivalPrediction:
     lower_bound: float
     worst_case_q: float
 
+    def __init__(self, p_nf: float, r: int, n: int, lower_bound: float, worst_case_q: float):
+        # Slot descriptors bypass the frozen __setattr__ at half the generated __init__'s cost.
+        _set_p_nf(self, p_nf)
+        _set_r(self, r)
+        _set_n(self, n)
+        _set_lower_bound(self, lower_bound)
+        _set_worst_case_q(self, worst_case_q)
+
     @property
     def excess_over_floor(self) -> float:
         return self.lower_bound - self.p_nf
+
+
+_set_p_nf, _set_r, _set_n, _set_lower_bound, _set_worst_case_q = (
+    getattr(SurvivalPrediction, name).__set__ for name in SurvivalPrediction.__slots__
+)
 
 
 def _logsumexp(values: Iterable[float]) -> float:
@@ -219,11 +233,6 @@ def _stationarity_root(a: float, r: int, n: int) -> float:
     raise ArithmeticError(f"stationarity root took over {_NEWTON_STEP_CAP} Newton steps")
 
 
-def _prediction(value: float, q: float, a: float, r: int, n: int) -> SurvivalPrediction:
-    """The record for bound ``value`` at ``q``, clamped to [a, 1] so the floor holds."""
-    return SurvivalPrediction(a, r, n, min(1.0, max(a, value)), q)
-
-
 def worst_case_survival(p_nf: float, r: int, n: int) -> SurvivalPrediction:
     """Minimum over q in [0, 1] of the point-prior predictive, with its location.
 
@@ -237,18 +246,21 @@ def worst_case_survival(p_nf: float, r: int, n: int) -> SurvivalPrediction:
     1 - q underflows against 1.
     """
     a = float(Probability(p_nf))
-    r = check_demand_count(r, "r")
-    n = check_demand_count(n, "n")
+    return _worst_case(a, check_demand_count(r, "r"), check_demand_count(n, "n"))
 
+
+def _worst_case(a: float, r: int, n: int) -> SurvivalPrediction:
+    """worst_case_survival of validated inputs, the interior bound clamped to [a, 1]."""
     if n == 0 or a == 1.0:
-        return _prediction(1.0, 0.0, a, r, n)
+        return SurvivalPrediction(a, r, n, 1.0, 0.0)
     if r == 0:
-        return _prediction(a, 1.0, a, r, n)
+        return SurvivalPrediction(a, r, n, a, 1.0)
     if a == 0.0:
-        return _prediction(0.0, 1.0, a, r, n)
+        return SurvivalPrediction(a, r, n, 0.0, 1.0)
 
     x = _stationarity_root(a, r, n)
-    return _prediction(math.exp(_log_g(a, x, r, n)), -math.expm1(x), a, r, n)
+    g = math.exp(_log_g(a, x, r, n))
+    return SurvivalPrediction(a, r, n, min(1.0, max(a, g)), -math.expm1(x))
 
 
 def grid_worst_case(p_nf: float, r: int, n: int, K: int) -> SurvivalPrediction:
@@ -267,12 +279,13 @@ def grid_worst_case(p_nf: float, r: int, n: int, K: int) -> SurvivalPrediction:
         raise ValueError(f"K must be >= 2, got {K}")
 
     if n == 0:
-        return _prediction(1.0, 0.0, a, r, n)
+        return SurvivalPrediction(a, r, n, 1.0, 0.0)
 
     qs, lu = _oracle_grid(K)
     logg = _log_predictive_vec(a, lu, r, n)
     i = int(np.argmin(logg))
-    return _prediction(math.exp(float(logg[i])), float(qs[i]), a, r, n)
+    g = math.exp(float(logg[i]))
+    return SurvivalPrediction(a, r, n, min(1.0, max(a, g)), float(qs[i]))
 
 
 def posterior_predictive_discrete(prior: DiscretePrior, r: int, n: int) -> Probability:
@@ -312,8 +325,12 @@ def sweep(
 ) -> list[SurvivalPrediction]:
     """worst_case_survival over the Cartesian product of the three grids.
 
-    Rows are emitted in input order, p_nf outermost and n innermost.
+    Each axis value is validated once, not once per cell.  Rows are emitted
+    in input order, p_nf outermost and n innermost.
     """
     if not p_nf_grid or not r_grid or not n_grid:
         raise ValueError("sweep grids must be non-empty")
-    return [worst_case_survival(p, r, n) for p in p_nf_grid for r in r_grid for n in n_grid]
+    p_nfs = [float(Probability(p)) for p in p_nf_grid]
+    rs = [check_demand_count(r, "r") for r in r_grid]
+    ns = [check_demand_count(n, "n") for n in n_grid]
+    return [_worst_case(a, r, n) for a in p_nfs for r in rs for n in ns]

@@ -32,6 +32,7 @@ _TRIAL_CHUNK = 1 << 20
 
 # numpy's geometric draws saturate here, so `first failure > n` is exact only below it.
 _GEOMETRIC_CAP = 2**63 - 1
+_COUNT_CAP = 2**1022  # demand counts stay below it, so r + n converts to a float
 
 
 class InfeasibleScaleError(ValueError):
@@ -72,7 +73,7 @@ class Probability(float):
 
 
 def check_demand_count(value: int, name: str = "count") -> int:
-    """Validate a demand count: a non-negative integer (plain ints cover 10**12 exactly)."""
+    """Validate a demand count: an integer in [0, 2**1022), so r + n converts to a float."""
     if isinstance(value, bool):  # an int subclass, but never a count
         raise TypeError(f"{name} must be an integer, got {value!r}")
     try:
@@ -81,6 +82,8 @@ def check_demand_count(value: int, name: str = "count") -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if n < 0:
         raise ValueError(f"{name} must be >= 0, got {n}")
+    if n >= _COUNT_CAP:  # too long to print whole past 4,300 digits
+        raise ValueError(f"{name} must be < 2**1022, got a {n.bit_length()}-bit integer")
     return n
 
 
@@ -118,11 +121,6 @@ def log_survive_run(q: float, k: int) -> float:
     return k * math.log1p(-q)
 
 
-def survive_run(q: float, k: int) -> float:
-    """(1 - q)**k evaluated through the log domain."""
-    return math.exp(log_survive_run(q, k))  # exp(-inf) == 0.0
-
-
 def pfd(model: MixtureModel) -> Probability:
     """Unconditional probability of failure on a single demand.
 
@@ -144,7 +142,8 @@ def survival_probability(model: MixtureModel, n: int) -> Probability:
     p_nf = model.p_nf
     if p_nf == 1.0:
         return Probability(1.0)
-    return Probability(p_nf + (1.0 - p_nf) * survive_run(model.p_f_given_faulty, n))
+    survive = math.exp(log_survive_run(model.p_f_given_faulty, n))  # exp(-inf) == 0.0
+    return Probability(p_nf + (1.0 - p_nf) * survive)
 
 
 def monte_carlo_survival(

@@ -34,7 +34,7 @@ from .fleet import (
     LogisticGrowth,
 )
 from .inference import DiscretePrior
-from .reliability import MixtureModel, Probability
+from .reliability import MixtureModel, Probability, check_demand_count
 
 __all__ = [
     "ScenarioError",
@@ -162,12 +162,6 @@ def _scalar(
     return _Kind(load, dump)
 
 
-def _non_negative(n: int) -> int:
-    if n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n!r}")
-    return n
-
-
 def _choice(*options: str) -> _Kind:
     def build(value: str) -> str:
         if value not in options:
@@ -236,7 +230,7 @@ def _tagged(variants: dict[str, _Kind]) -> _Kind:
 
 _NUMBER = _scalar("a number", (int, float), float, float)
 _INT = _scalar("an integer", (int,), dump=int)
-_COUNT = _scalar("an integer", (int,), _non_negative, int)
+_COUNT = _scalar("an integer", (int,), check_demand_count, int)
 _PROBABILITY = _scalar("a number", (int, float), lambda v: Probability(float(v)), float)
 _STR = _scalar("a string", (str,))
 _BOOL = _scalar("a boolean", (bool,))

@@ -115,6 +115,10 @@ class TestInputResolution:
              "--seed", "-1"),
             ("survival", "--p-nf", "0.9", "--p-fail", "0.01", "--n", str(2**63 - 1),
              "--mc-trials", "10"),
+            # Counts past float range: r + n could no longer convert to a float.
+            ("predict", "--p-nf", "0.9", "--r", str(10**320), "--n", "1"),
+            ("sweep", "--p-nf", "0.9", "--r", "5", "--n", f"1,{2**1022}"),
+            ("survival", "--p-nf", "0.9", "--p-fail", "0.01", "--n", str(10**320)),
         ],
     )
     def test_invalid_inline_value_prints_nothing(self, capsys, argv):

@@ -1,4 +1,7 @@
+import dataclasses
+import inspect
 import math
+import pickle
 
 import mpmath as mp
 import numpy as np
@@ -7,9 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from certbound import inference
+from certbound.cli import SWEEP_CSV_HEADER
 from certbound.inference import (
     DegenerateConditioningError,
     DiscretePrior,
+    SurvivalPrediction,
     grid_worst_case,
     posterior_predictive_discrete,
     predictive_given_point_prior,
@@ -36,6 +41,11 @@ extreme_p_nf = st.one_of(
     st.floats(min_value=-15.0, max_value=math.log10(0.5)).map(lambda e: 1.0 - 10.0**e),
 )
 extreme_counts = st.floats(min_value=0.0, max_value=12.0).map(lambda e: int(round(10.0**e)))
+# Sweep axes add the endpoints the kernel special-cases: p_nf in {0, -0.0, 1}, r = 0, n = 0.
+grid_p_nf = st.lists(
+    st.one_of(extreme_p_nf, st.sampled_from([0.0, -0.0, 1.0])), min_size=1, max_size=3
+)
+grid_counts = st.lists(st.one_of(extreme_counts, st.just(0)), min_size=1, max_size=3)
 
 # Frozen from the mpmath oracles (60-digit evaluation, see oracles.py):
 #   point_predictive_mp(0.9, 1e-3, 1e3, 1e4)        = 0.9607503448749972381
@@ -229,6 +239,18 @@ class TestWorstCase:
         monkeypatch.setattr(inference, "_NEWTON_STEP_CAP", 1)
         with pytest.raises(ArithmeticError):
             worst_case_survival(0.9, 10**3, 10**4)
+        with pytest.raises(ArithmeticError):
+            sweep([0.9], [10**3], [10**4])
+
+    @pytest.mark.parametrize("p_nf", [1e-300, 0.5, 1.0 - 1e-15])
+    @pytest.mark.parametrize(
+        "r, n", [(2**1022 - 1, 2**1022 - 1), (2**1022 - 1, 1)], ids=["r=n=cap-1", "r=cap-1,n=1"]
+    )
+    def test_largest_counts_give_finite_bounds(self, p_nf, r, n):
+        # About ln(2**1022) = 708 Newton steps at most, well inside the cap.
+        pred = worst_case_survival(p_nf, r, n)
+        assert p_nf <= pred.lower_bound <= 1.0
+        assert 0.0 <= pred.worst_case_q < 1.0
 
     @given(
         probabilities,
@@ -377,6 +399,36 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep([], [1], [1])
 
+    @given(grid_p_nf, grid_counts, grid_counts)
+    @example([0.0, -0.0, 1.0, 1e-300, 0.5], [0, 1, 10**12], [0, 1, 10**12])
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_cell_by_cell_bits(self, p_grid, r_grid, n_grid):
+        rows = sweep(p_grid, r_grid, n_grid)
+        cells = [(p, r, n) for p in p_grid for r in r_grid for n in n_grid]
+        assert len(rows) == len(cells)
+        bits = lambda pred: (float.hex(pred.p_nf), pred.r, pred.n,
+                             float.hex(pred.lower_bound), float.hex(pred.worst_case_q))
+        for row, cell in zip(rows, cells):
+            assert bits(row) == bits(worst_case_survival(*cell)), cell
+
+    @pytest.mark.parametrize(
+        "axis, bad",
+        [(0, math.nan), (0, 1.5), (0, -0.1)]
+        + [(axis, bad) for axis in (1, 2) for bad in (True, -1, 2.5, 2**1022)],
+        ids=lambda v: "2**1022" if v == 2**1022 else repr(v),
+    )
+    def test_bad_axis_value_raises_as_its_cell_does(self, axis, bad):
+        cell = [0.9, 10, 100]
+        cell[axis] = bad
+        with pytest.raises((TypeError, ValueError)) as single:
+            worst_case_survival(*cell)
+        grids = [[0.5, 0.9], [0, 10], [1, 100]]
+        grids[axis].insert(1, bad)
+        with pytest.raises((TypeError, ValueError)) as swept:
+            sweep(*grids)
+        assert type(swept.value) is type(single.value)
+        assert str(swept.value) == str(single.value)
+
     def test_rows_are_the_cells_bounds(self):
         grids = ([0.0, 1e-300, 0.9, 1.0], [0, 1, 10**12], [0, 1, 10**4])
         rows = sweep(*grids)
@@ -385,3 +437,42 @@ class TestSweep:
         for row in rows:
             assert [type(getattr(row, f)) for f in ("p_nf", "r", "n")] == [float, int, int]
             assert type(row.lower_bound) is float and type(row.worst_case_q) is float
+
+
+class TestSurvivalPredictionRecord:
+    VALUES = {"p_nf": 0.9, "r": 3, "n": 4, "lower_bound": 0.95, "worst_case_q": 1e-3}
+
+    def field_by_field(self) -> SurvivalPrediction:
+        """The record as the generated frozen __init__ would build it."""
+        record = object.__new__(SurvivalPrediction)
+        for name, value in self.VALUES.items():
+            object.__setattr__(record, name, value)
+        return record
+
+    def test_fields_are_the_sweep_csv_columns(self):
+        names = [f.name for f in dataclasses.fields(SurvivalPrediction)]
+        assert names == SWEEP_CSV_HEADER[:5]
+        assert list(inspect.signature(SurvivalPrediction).parameters) == names
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_fields_are_frozen(self, name):
+        record = SurvivalPrediction(**self.VALUES)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 0)
+
+    def test_matches_a_record_built_field_by_field(self):
+        record, reference = SurvivalPrediction(*self.VALUES.values()), self.field_by_field()
+        assert record == reference and not record != reference
+        assert hash(record) == hash(reference) == hash(tuple(self.VALUES.values()))
+        assert repr(record) == repr(reference) == (
+            "SurvivalPrediction(p_nf=0.9, r=3, n=4, lower_bound=0.95, worst_case_q=0.001)"
+        )
+        assert dataclasses.asdict(record) == dataclasses.asdict(reference) == self.VALUES
+
+    def test_pickle_and_replace(self):
+        record = SurvivalPrediction(**self.VALUES)
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and type(copy) is SurvivalPrediction
+        moved = dataclasses.replace(record, lower_bound=0.96)
+        assert dataclasses.asdict(moved) == {**self.VALUES, "lower_bound": 0.96}
+        assert record.lower_bound == 0.95

@@ -9,6 +9,7 @@ from certbound.reliability import (
     InfeasibleScaleError,
     MixtureModel,
     Probability,
+    check_demand_count,
     monte_carlo_survival,
     pfd,
     survival_probability,
@@ -40,6 +41,22 @@ class TestProbability:
         assert Probability(1.0).log == 0.0
         assert Probability(1.0).log_complement == -math.inf
         assert Probability(0.5).log == pytest.approx(math.log(0.5))
+
+
+class TestDemandCount:
+    def test_accepts_counts_below_the_cap(self):
+        assert check_demand_count(0) == 0
+        assert check_demand_count(2**1022 - 1, "r") == 2**1022 - 1
+
+    # 10**5000 is past the 4,300 digits int.__str__ will print.
+    @pytest.mark.parametrize("base, exponent", [(2, 1022), (10, 320), (10, 5000)])
+    def test_rejects_counts_past_float_range(self, base, exponent):
+        with pytest.raises(ValueError, match=r"r must be < 2\*\*1022"):
+            check_demand_count(base**exponent, "r")
+
+    def test_survival_rejects_count_past_float_range(self):
+        with pytest.raises(ValueError, match=r"n must be < 2\*\*1022"):
+            survival_probability(MixtureModel(0.9, 0.01), 10**320)
 
 
 class TestPfd:

@@ -61,6 +61,12 @@ def test_out_of_range_probability_names_key(tmp_path):
         parse_scenario(write(tmp_path, "model:\n  p_nf: 1.5\n"))
 
 
+@pytest.mark.parametrize("r", [-3, 2**1022], ids=["negative", "2**1022"])
+def test_count_out_of_range_names_key(tmp_path, r):
+    with pytest.raises(ScenarioValidationError, match=r"evidence\.r: count must be"):
+        parse_scenario(write(tmp_path, f"evidence:\n  r: {r}\n"))
+
+
 def test_unknown_top_level_section_rejected(tmp_path):
     with pytest.raises(ScenarioValidationError, match="unknown sections"):
         parse_scenario(write(tmp_path, "model:\n  p_nf: 0.9\nextra:\n  x: 1\n"))
