@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Union
 
-from .inference import SurvivalPrediction, worst_case_survival
+from .inference import SurvivalPrediction, _pair_terms, _row
 from .reliability import Probability, check_demand_count
 
 __all__ = [
@@ -181,35 +182,34 @@ def run_bootstrap(scenario: FleetScenario) -> BootstrapTrace:
     Window w is predicted from the evidence r_w available before it starts;
     afterwards r_{w+1} = r_w + n_w.  A window that misses the confidence
     threshold is recorded as such; the run never halts early, since the
-    point is to see whether confidence keeps pace with fleet growth.
+    point is to see whether confidence keeps pace with fleet growth.  The
+    final evidence is checked against the count cap before any window is
+    solved; then all windows are solved in one pass of the row kernel.
     """
-    window_demands = [
-        demands_in_window(scenario, w) for w in range(scenario.window_count)
-    ]
-    remaining = sum(window_demands)
-    r = scenario.initial_evidence
-    records = []
-    for w, n_w in enumerate(window_demands):
-        prediction = worst_case_survival(scenario.p_nf, r, n_w)
-        lifetime = None
-        if scenario.include_remaining_lifetime:
-            lifetime = worst_case_survival(scenario.p_nf, r, remaining)
-        records.append(
-            WindowRecord(
-                window_index=w,
-                fleet_size=scenario.growth.fleet_size(w),
-                window_demands=n_w,
-                accumulated_evidence=r,
-                prediction=prediction,
-                meets_threshold=prediction.lower_bound >= scenario.confidence_threshold,
-                remaining_lifetime=lifetime,
-            )
+    window_demands = [demands_in_window(scenario, w) for w in range(scenario.window_count)]
+    final = scenario.initial_evidence + sum(window_demands)
+    check_demand_count(final, "initial_evidence + all window demands")
+    evidence = list(accumulate(window_demands, initial=scenario.initial_evidence))[:-1]
+    a = float(scenario.p_nf)
+    predictions = _row(a, [_pair_terms(r, n) for r, n in zip(evidence, window_demands)])
+    lifetimes = (_row(a, [_pair_terms(r, final - r) for r in evidence])
+                 if scenario.include_remaining_lifetime else [None] * len(evidence))
+    windows = zip(window_demands, evidence, predictions, lifetimes)
+    records = tuple(
+        WindowRecord(
+            window_index=w,
+            fleet_size=scenario.growth.fleet_size(w),
+            window_demands=n_w,
+            accumulated_evidence=r,
+            prediction=prediction,
+            meets_threshold=prediction.lower_bound >= scenario.confidence_threshold,
+            remaining_lifetime=lifetime,
         )
-        r += n_w
-        remaining -= n_w
+        for w, (n_w, r, prediction, lifetime) in enumerate(windows)
+    )
     return BootstrapTrace(
-        windows=tuple(records),
-        cumulative_demands=sum(window_demands),
+        windows=records,
+        cumulative_demands=final - scenario.initial_evidence,
         threshold=scenario.confidence_threshold,
     )
 

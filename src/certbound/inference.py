@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -112,6 +112,14 @@ _set_p_nf, _set_r, _set_n, _set_lower_bound, _set_worst_case_q = (
 )
 
 
+def _refuse(self: SurvivalPrediction, name: str, *value: object) -> None:
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+# dataclass's frozen pair calls super() on the class slots=True replaced: TypeError on 3.11.
+SurvivalPrediction.__setattr__ = SurvivalPrediction.__delattr__ = _refuse
+
+
 def _logsumexp(values: Iterable[float]) -> float:
     vals = list(values)
     m = max(vals)
@@ -120,25 +128,22 @@ def _logsumexp(values: Iterable[float]) -> float:
     return m + math.log(math.fsum(math.exp(v - m) for v in vals))
 
 
-def _log_add_exp(u: float, v: float) -> float:
-    """log(exp(u) + exp(v)) for scalars, without overflow."""
-    if u < v:
-        u, v = v, u
-    if v == -math.inf:
-        return u
-    return u + math.log1p(math.exp(v - u))
-
-
-def _log_g(a: float, x: float, r: int, n: int) -> float:
-    """log g at x = log(1 - q), for a in (0, 1).
+def _log_g(log_a: float, log_b: float, x: float, r: float, s: float) -> float:
+    """log g at x = log(1 - q), from log a and log b = log(1 - a) for a in (0, 1), and s = r + n.
 
     Taking x rather than q keeps 1 - q representable when it underflows
     against 1, e.g. 1 - q ~ 1e-150 at p_nf = 1e-300, r = n = 1.
     """
-    log_a = math.log(a)
-    log_b = math.log1p(-a)
-    log_num = _log_add_exp(log_a, log_b + (r + n) * x)
-    log_den = _log_add_exp(log_a, log_b + r * x)
+    # Each term is log(a + b*u**k) = logaddexp(log a, log b + k*x) with the larger
+    # exponent factored out; a term of -inf (k*x overflowed) adds exactly 0.
+    u, v = log_a, log_b + s * x
+    if u < v:
+        u, v = v, u
+    log_num = u + math.log1p(math.exp(v - u))
+    u, v = log_a, log_b + r * x
+    if u < v:
+        u, v = v, u
+    log_den = u + math.log1p(math.exp(v - u))
     return log_num - log_den
 
 
@@ -185,7 +190,8 @@ def predictive_given_point_prior(p_nf: float, q: float, r: int, n: int) -> Proba
     if n == 0 or q == 0.0 or a == 1.0:
         log_g = 0.0
     elif q < 1.0:
-        log_g = n * math.log1p(-q) if a == 0.0 else _log_g(a, math.log1p(-q), r, n)
+        x = math.log1p(-q)
+        log_g = n * x if a == 0.0 else _log_g(math.log(a), math.log1p(-a), x, r, r + n)
     elif r == 0:
         log_g = math.log(a) if a > 0.0 else -math.inf
     elif a > 0.0:
@@ -197,7 +203,15 @@ def predictive_given_point_prior(p_nf: float, q: float, r: int, n: int) -> Proba
     return Probability(min(1.0, math.exp(log_g)))
 
 
-def _stationarity_root(a: float, r: int, n: int) -> float:
+def _pair_terms(r: int, n: int) -> tuple:
+    """A validated (r, n) pair and its root terms: log1p(n/r), log n, log r, then n, r + n
+    and r as floats.  They are NaN where r or n is 0, since the bound is then an endpoint."""
+    if r == 0 or n == 0:
+        return r, n, math.nan, math.nan, math.nan, math.nan, math.nan, math.nan
+    return r, n, math.log1p(n / r), math.log(n), math.log(r), float(n), float(r + n), float(r)
+
+
+def _stationarity_root(c1: float, c2: float, n: float, s: float) -> float:
     """x* = log(1 - q*) at the unique interior minimum of g, for a in (0,1), r,n >= 1.
 
     Clearing denominators in g'(q) = 0 and dividing by a*r gives, with
@@ -207,16 +221,14 @@ def _stationarity_root(a: float, r: int, n: int) -> float:
 
     Scaled this way both sides are O(1), so the root keeps its resolution
     when r >> n.  In x = log u the equation is F(x) = 0, where the log of the
-    left side, F(x) = logaddexp(c1 + n*x, c2 + (r + n)*x), is convex and
-    increasing.  Newton's method starts at x = -c1/n, where the first term
-    alone makes F >= 0; right of the root each tangent of such an F meets
-    zero between the root and x, so the iterates fall monotonically and never
-    overshoot.  It stops at the first step that no longer decreases x, and
-    raises ArithmeticError after _NEWTON_STEP_CAP steps.
+    left side, F(x) = logaddexp(c1 + n*x, c2 + s*x) with c1 = log1p(n/r),
+    c2 = log(b/a) + log n - log r and s = r + n, is convex and increasing.
+    Newton's method starts at x = -c1/n, where the first term alone makes
+    F >= 0; right of the root each tangent of such an F meets zero between
+    the root and x, so the iterates fall monotonically and never overshoot.
+    It stops at the first step that no longer decreases x, and raises
+    ArithmeticError after _NEWTON_STEP_CAP steps.
     """
-    c1 = math.log1p(n / r)
-    c2 = math.log1p(-a) - math.log(a) + math.log(n) - math.log(r)
-    n, s = float(n), float(r + n)
     x = -c1 / n
     for _ in range(_NEWTON_STEP_CAP):
         # F and F' from the same two exponentials, the larger one factored out.
@@ -246,21 +258,32 @@ def worst_case_survival(p_nf: float, r: int, n: int) -> SurvivalPrediction:
     1 - q underflows against 1.
     """
     a = float(Probability(p_nf))
-    return _worst_case(a, check_demand_count(r, "r"), check_demand_count(n, "n"))
+    return _row(a, (_pair_terms(check_demand_count(r, "r"), check_demand_count(n, "n")),))[0]
 
 
-def _worst_case(a: float, r: int, n: int) -> SurvivalPrediction:
-    """worst_case_survival of validated inputs, the interior bound clamped to [a, 1]."""
-    if n == 0 or a == 1.0:
-        return SurvivalPrediction(a, r, n, 1.0, 0.0)
-    if r == 0:
-        return SurvivalPrediction(a, r, n, a, 1.0)
-    if a == 0.0:
-        return SurvivalPrediction(a, r, n, 0.0, 1.0)
+def _row(a: float, pairs: Sequence[tuple]) -> list[SurvivalPrediction]:
+    """worst_case_survival at one validated a for each pair from _pair_terms, in order.
 
-    x = _stationarity_root(a, r, n)
-    g = math.exp(_log_g(a, x, r, n))
-    return SurvivalPrediction(a, r, n, min(1.0, max(a, g)), -math.expm1(x))
+    The row's logs are taken once.  A cell's float operations, and their
+    order, do not depend on the other pairs, so every row is bit-identical to
+    a lone call.  Interior bounds are clamped to [a, 1].
+    """
+    rows, d = [], None
+    for r, n, c1, log_n, log_r, n_f, s_f, r_f in pairs:
+        if n == 0 or a == 1.0:
+            rows.append(SurvivalPrediction(a, r, n, 1.0, 0.0))
+        elif r == 0:
+            rows.append(SurvivalPrediction(a, r, n, a, 1.0))
+        elif a == 0.0:
+            rows.append(SurvivalPrediction(a, r, n, 0.0, 1.0))
+        else:
+            if d is None:  # at the first interior cell, so a row of endpoints takes no logs
+                log_a, log_b = math.log(a), math.log1p(-a)
+                d = log_b - log_a
+            x = _stationarity_root(c1, d + log_n - log_r, n_f, s_f)
+            g = math.exp(_log_g(log_a, log_b, x, r_f, s_f))
+            rows.append(SurvivalPrediction(a, r, n, min(1.0, max(a, g)), -math.expm1(x)))
+    return rows
 
 
 def grid_worst_case(p_nf: float, r: int, n: int, K: int) -> SurvivalPrediction:
@@ -325,12 +348,14 @@ def sweep(
 ) -> list[SurvivalPrediction]:
     """worst_case_survival over the Cartesian product of the three grids.
 
-    Each axis value is validated once, not once per cell.  Rows are emitted
-    in input order, p_nf outermost and n innermost.
+    Each axis value is validated once, each (r, n) pair's root terms are
+    taken once per grid and each p_nf's logs once.  Rows are emitted in
+    input order, p_nf outermost and n innermost.
     """
     if not p_nf_grid or not r_grid or not n_grid:
         raise ValueError("sweep grids must be non-empty")
     p_nfs = [float(Probability(p)) for p in p_nf_grid]
     rs = [check_demand_count(r, "r") for r in r_grid]
     ns = [check_demand_count(n, "n") for n in n_grid]
-    return [_worst_case(a, r, n) for a in p_nfs for r in rs for n in ns]
+    pairs = [_pair_terms(r, n) for r in rs for n in ns]
+    return [row for a in p_nfs for row in _row(a, pairs)]

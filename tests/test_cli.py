@@ -198,6 +198,24 @@ class TestBootstrap:
         assert code == 1
         assert "misses the threshold" in out
 
+    def test_evidence_past_count_cap_prints_nothing(self, capsys, tmp_path):
+        text = (
+            "bootstrap:\n"
+            "  growth: {kind: linear, initial_fleet: 1, added_per_window: 1}\n"
+            f"  demands_per_aircraft_per_window: {2**1020}\n"
+            "  window_count: 4\n"
+            "  p_nf: 0.9\n"
+            "  initial_evidence: 0\n"
+            "  confidence_threshold: 0.99\n"
+        )
+        path = tmp_path / "overflowing.yaml"
+        path.write_text(text, encoding="utf-8")
+        code = main(["bootstrap", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "initial_evidence + all window demands must be < 2**1022" in captured.err
+
 
 class TestAssess:
     def test_matches_library(self, capsys):

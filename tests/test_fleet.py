@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from certbound.fleet import (
     BootstrapTrace,
@@ -13,6 +15,30 @@ from certbound.fleet import (
     run_bootstrap,
 )
 from certbound.inference import grid_worst_case, worst_case_survival
+
+# Scenarios over every growth kind, the p_nf endpoints and extremes, and evidence up to 10**12.
+growths = st.one_of(
+    st.builds(ConstantGrowth, st.integers(1, 1000)),
+    st.builds(LinearGrowth, st.integers(1, 1000), st.integers(0, 100)),
+    st.integers(1, 1000).flatmap(lambda size: st.builds(
+        LogisticGrowth, st.just(size), st.floats(0.0, 2.0), st.integers(size, 20 * size))),
+)
+scenario_p_nf = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.floats(min_value=-300.0, max_value=math.log10(0.5)).map(lambda e: 10.0**e),
+    st.floats(min_value=-15.0, max_value=math.log10(0.5)).map(lambda e: 1.0 - 10.0**e),
+)
+log_counts = lambda top: st.floats(0.0, top).map(lambda e: int(round(10.0**e)))
+fleet_scenarios = st.builds(
+    FleetScenario,
+    growth=growths,
+    demands_per_aircraft_per_window=log_counts(6.0),
+    window_count=st.integers(0, 6),
+    p_nf=scenario_p_nf,
+    initial_evidence=st.one_of(st.just(0), log_counts(12.0)),
+    confidence_threshold=st.floats(0.0, 1.0),
+    include_remaining_lifetime=st.booleans(),
+)
 
 
 def constant_scenario(**overrides):
@@ -156,6 +182,37 @@ class TestRunBootstrap:
         # last window's remaining span is just its own demands
         last = trace.windows[-1]
         assert last.remaining_lifetime == last.prediction
+
+    @given(fleet_scenarios)
+    @example(constant_scenario(p_nf=1e-300, initial_evidence=0, include_remaining_lifetime=True))
+    @example(constant_scenario(window_count=0, include_remaining_lifetime=True))
+    @settings(max_examples=60, deadline=None)
+    def test_windows_match_single_calls_bit_for_bit(self, scenario):
+        trace = run_bootstrap(scenario)
+        assert len(trace.windows) == scenario.window_count
+        final = scenario.initial_evidence + trace.cumulative_demands
+        bits = lambda pred: (float.hex(pred.p_nf), pred.r, pred.n,
+                             float.hex(pred.lower_bound), float.hex(pred.worst_case_q))
+        for w in trace.windows:
+            r, n = w.accumulated_evidence, w.window_demands
+            assert bits(w.prediction) == bits(worst_case_survival(scenario.p_nf, r, n))
+            if scenario.include_remaining_lifetime:
+                lifetime = worst_case_survival(scenario.p_nf, r, final - r)
+                assert bits(w.remaining_lifetime) == bits(lifetime)
+            else:
+                assert w.remaining_lifetime is None
+
+    def test_evidence_past_count_cap_names_scenario_keys(self):
+        # Windows of 1, 2, 3 and 4 times 2**1020 demands: every window's own
+        # count is valid, but the evidence reaches 10 * 2**1020 >= 2**1022.
+        scenario = constant_scenario(
+            growth=LinearGrowth(initial_fleet=1, added_per_window=1),
+            demands_per_aircraft_per_window=2**1020,
+            window_count=4,
+        )
+        message = r"initial_evidence \+ all window demands must be < 2\*\*1022"
+        with pytest.raises(ValueError, match=message):
+            run_bootstrap(scenario)
 
     def test_negative_initial_evidence_raises(self):
         with pytest.raises(ValueError, match="initial_evidence"):

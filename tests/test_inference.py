@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from certbound import inference
 from certbound.cli import SWEEP_CSV_HEADER
+from certbound.fleet import ConstantGrowth, FleetScenario, run_bootstrap
 from certbound.inference import (
     DegenerateConditioningError,
     DiscretePrior,
@@ -231,7 +232,9 @@ class TestWorstCase:
     @settings(max_examples=60, deadline=None)
     def test_stationarity_root_matches_high_precision_root(self, p_nf, r, n):
         # A root that reached the step cap would raise ArithmeticError here.
-        x = inference._stationarity_root(p_nf, r, n)
+        _, _, c1, log_n, log_r, n_f, s_f, _ = inference._pair_terms(r, n)
+        x = inference._stationarity_root(
+            c1, math.log1p(-p_nf) - math.log(p_nf) + log_n - log_r, n_f, s_f)
         expected = stationarity_root_log1m_mp(p_nf, r, n, iterations=200)
         assert float(abs(x - expected) / abs(expected)) <= 1e-14, (p_nf, r, n, x, expected)
 
@@ -241,6 +244,9 @@ class TestWorstCase:
             worst_case_survival(0.9, 10**3, 10**4)
         with pytest.raises(ArithmeticError):
             sweep([0.9], [10**3], [10**4])
+        scenario = FleetScenario(ConstantGrowth(10), 10**3, 1, 0.9, 10**3, 0.5)
+        with pytest.raises(ArithmeticError):
+            run_bootstrap(scenario)
 
     @pytest.mark.parametrize("p_nf", [1e-300, 0.5, 1.0 - 1e-15])
     @pytest.mark.parametrize(
@@ -459,6 +465,15 @@ class TestSurvivalPredictionRecord:
         record = SurvivalPrediction(**self.VALUES)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, name, 0)
+
+    def test_non_field_attributes_are_frozen(self):
+        record = SurvivalPrediction(**self.VALUES)
+        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'extra'"):
+            record.extra = 0
+        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field 'extra'"):
+            del record.extra
+        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field 'r'"):
+            del record.r
 
     def test_matches_a_record_built_field_by_field(self):
         record, reference = SurvivalPrediction(*self.VALUES.values()), self.field_by_field()
