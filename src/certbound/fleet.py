@@ -186,7 +186,8 @@ def run_bootstrap(scenario: FleetScenario) -> BootstrapTrace:
     final evidence is checked against the count cap before any window is
     solved; then all windows are solved in one pass of the row kernel.
     """
-    window_demands = [demands_in_window(scenario, w) for w in range(scenario.window_count)]
+    sizes = [scenario.growth.fleet_size(w) for w in range(scenario.window_count)]
+    window_demands = [size * scenario.demands_per_aircraft_per_window for size in sizes]
     final = scenario.initial_evidence + sum(window_demands)
     check_demand_count(final, "initial_evidence + all window demands")
     evidence = list(accumulate(window_demands, initial=scenario.initial_evidence))[:-1]
@@ -194,18 +195,18 @@ def run_bootstrap(scenario: FleetScenario) -> BootstrapTrace:
     predictions = _row(a, [_pair_terms(r, n) for r, n in zip(evidence, window_demands)])
     lifetimes = (_row(a, [_pair_terms(r, final - r) for r in evidence])
                  if scenario.include_remaining_lifetime else [None] * len(evidence))
-    windows = zip(window_demands, evidence, predictions, lifetimes)
+    windows = zip(sizes, window_demands, evidence, predictions, lifetimes)
     records = tuple(
         WindowRecord(
             window_index=w,
-            fleet_size=scenario.growth.fleet_size(w),
+            fleet_size=size,
             window_demands=n_w,
             accumulated_evidence=r,
             prediction=prediction,
             meets_threshold=prediction.lower_bound >= scenario.confidence_threshold,
             remaining_lifetime=lifetime,
         )
-        for w, (n_w, r, prediction, lifetime) in enumerate(windows)
+        for w, (size, n_w, r, prediction, lifetime) in enumerate(windows)
     )
     return BootstrapTrace(
         windows=records,

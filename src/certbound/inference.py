@@ -13,7 +13,9 @@ For a point mass at q the predictive is
     g(q) = (p_nf + (1 - p_nf) * (1 - q)**(r + n)) / (p_nf + (1 - p_nf) * (1 - q)**r)
 
 All powers are evaluated as exp(k * log1p(-q)) and ratios as differences of
-log-sum-exp terms, so r + n up to ~10**12 is safe.  ``grid_worst_case`` is a
+log-sum-exp terms, so r + n up to ~10**12 is safe.  The minimum is the
+stationarity root's first term (see ``_row``); ``_log_g`` evaluates g at any q
+for ``predictive_given_point_prior``.  ``grid_worst_case`` is a
 deliberately brute-force minimizer kept independent of the optimizer so the
 two can check each other.
 """
@@ -79,7 +81,7 @@ class DiscretePrior:
             raise ValueError(f"p_nf + atom weights must sum to 1, got {total!r}")
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class SurvivalPrediction:
     """Conservative lower bound on surviving n further demands after r
     failure-free ones, with the q where the worst case lies.
@@ -94,22 +96,16 @@ class SurvivalPrediction:
     lower_bound: float
     worst_case_q: float
 
-    def __init__(self, p_nf: float, r: int, n: int, lower_bound: float, worst_case_q: float):
-        # Slot descriptors bypass the frozen __setattr__ at half the generated __init__'s cost.
-        _set_p_nf(self, p_nf)
-        _set_r(self, r)
-        _set_n(self, n)
-        _set_lower_bound(self, lower_bound)
-        _set_worst_case_q(self, worst_case_q)
-
     @property
     def excess_over_floor(self) -> float:
         return self.lower_bound - self.p_nf
 
 
+# _row builds records through the slot descriptors, at a third of the generated __init__'s cost.
 _set_p_nf, _set_r, _set_n, _set_lower_bound, _set_worst_case_q = (
     getattr(SurvivalPrediction, name).__set__ for name in SurvivalPrediction.__slots__
 )
+_new = object.__new__
 
 
 def _refuse(self: SurvivalPrediction, name: str, *value: object) -> None:
@@ -129,11 +125,7 @@ def _logsumexp(values: Iterable[float]) -> float:
 
 
 def _log_g(log_a: float, log_b: float, x: float, r: float, s: float) -> float:
-    """log g at x = log(1 - q), from log a and log b = log(1 - a) for a in (0, 1), and s = r + n.
-
-    Taking x rather than q keeps 1 - q representable when it underflows
-    against 1, e.g. 1 - q ~ 1e-150 at p_nf = 1e-300, r = n = 1.
-    """
+    """log g at x = log(1 - q), from log a and log b = log(1 - a) for a in (0, 1), and s = r + n."""
     # Each term is log(a + b*u**k) = logaddexp(log a, log b + k*x) with the larger
     # exponent factored out; a term of -inf (k*x overflowed) adds exactly 0.
     u, v = log_a, log_b + s * x
@@ -204,11 +196,11 @@ def predictive_given_point_prior(p_nf: float, q: float, r: int, n: int) -> Proba
 
 
 def _pair_terms(r: int, n: int) -> tuple:
-    """A validated (r, n) pair and its root terms: log1p(n/r), log n, log r, then n, r + n
-    and r as floats.  They are NaN where r or n is 0, since the bound is then an endpoint."""
+    """A validated (r, n) pair and its root terms: log1p(n/r), log n, log r, then n and r + n
+    as floats.  They are NaN where r or n is 0, since the bound is then an endpoint."""
     if r == 0 or n == 0:
-        return r, n, math.nan, math.nan, math.nan, math.nan, math.nan, math.nan
-    return r, n, math.log1p(n / r), math.log(n), math.log(r), float(n), float(r + n), float(r)
+        return r, n, math.nan, math.nan, math.nan, math.nan, math.nan
+    return r, n, math.log1p(n / r), math.log(n), math.log(r), float(n), float(r + n)
 
 
 def _stationarity_root(c1: float, c2: float, n: float, s: float) -> float:
@@ -254,8 +246,7 @@ def worst_case_survival(p_nf: float, r: int, n: int) -> SurvivalPrediction:
     p_nf in (0, 1) and r, n >= 1, g(0) = g(1) = 1 and g dips below 1 in
     between, where g'(q) = 0 has exactly one root; so that stationary point
     is the global minimum and is returned directly.  The root is found in
-    x = log(1 - q) and g is evaluated at x, so the bound stays accurate where
-    1 - q underflows against 1.
+    x = log(1 - q), so the bound stays accurate where 1 - q underflows.
     """
     a = float(Probability(p_nf))
     return _row(a, (_pair_terms(check_demand_count(r, "r"), check_demand_count(n, "n")),))[0]
@@ -267,22 +258,42 @@ def _row(a: float, pairs: Sequence[tuple]) -> list[SurvivalPrediction]:
     The row's logs are taken once.  A cell's float operations, and their
     order, do not depend on the other pairs, so every row is bit-identical to
     a lone call.  Interior bounds are clamped to [a, 1].
+
+    The root solves A + B = 1, A = (1 + n/r)*u**n, B = (b/a)*(n/r)*u**(r + n)
+    (see _stationarity_root), and there g = A and 1 - g = B: in general
+    1 - g = (b/a)*u**r*(1 - u**n)/(1 + (b/a)*u**r), and at the root
+    1 - u**n = u**n*(n/r)*(1 + (b/a)*u**r).  So the bound is exp(t1), where
+    t1 = c1 + n*x is the term the root's last Newton step computed.
+
+    Error, to first order in eps = 2**-53 (exp, log, log1p within 1 ulp): with
+    e1, e2 the errors of the computed t1 and t2 = c2 + s*x at the returned x,
+    and e3 = log(exp(t1) + exp(t2)) there, the bound is off from g by
+    A*(B*(s*e1 - n*e2) + n*e3)/(n*A + s*B) + 2*eps*g.  So e1 weighs at most
+    min(A, A*B*s/n), e2 at most min(A*B, A*n/s) and e3 at most A, and no
+    |log a| cancels as it does in _log_g.  |e1| <= eps*(3*c1 + 2*|log A| + 1),
+    |e2| <= eps*(s*|x| + |log B| + 5*|d| + 4*log n + 3*log r + 3) with e2's
+    weight times |d| below 1.72, and the stop leaves
+    |e3| <= eps*(|x|*(n*A + s*B) + 2).  Summed, the error is at most
+    eps*(2*c1 + log n + log r + 18): 1.2e-14 for counts up to 10**12.
     """
     rows, d = [], None
-    for r, n, c1, log_n, log_r, n_f, s_f, r_f in pairs:
+    for r, n, c1, log_n, log_r, n_f, s_f in pairs:
         if n == 0 or a == 1.0:
-            rows.append(SurvivalPrediction(a, r, n, 1.0, 0.0))
-        elif r == 0:
-            rows.append(SurvivalPrediction(a, r, n, a, 1.0))
-        elif a == 0.0:
-            rows.append(SurvivalPrediction(a, r, n, 0.0, 1.0))
+            bound, q = 1.0, 0.0
+        elif r == 0 or a == 0.0:
+            bound, q = a, 1.0
         else:
             if d is None:  # at the first interior cell, so a row of endpoints takes no logs
-                log_a, log_b = math.log(a), math.log1p(-a)
-                d = log_b - log_a
+                d = math.log1p(-a) - math.log(a)
             x = _stationarity_root(c1, d + log_n - log_r, n_f, s_f)
-            g = math.exp(_log_g(log_a, log_b, x, r_f, s_f))
-            rows.append(SurvivalPrediction(a, r, n, min(1.0, max(a, g)), -math.expm1(x)))
+            bound, q = min(1.0, max(a, math.exp(c1 + n_f * x))), -math.expm1(x)
+        row = _new(SurvivalPrediction)
+        _set_p_nf(row, a)
+        _set_r(row, r)
+        _set_n(row, n)
+        _set_lower_bound(row, bound)
+        _set_worst_case_q(row, q)
+        rows.append(row)
     return rows
 
 

@@ -202,6 +202,19 @@ class TestRunBootstrap:
             else:
                 assert w.remaining_lifetime is None
 
+    def test_each_window_fleet_size_is_computed_once(self):
+        calls = []
+
+        class CountingGrowth:
+            def fleet_size(self, window_index):
+                calls.append(window_index)
+                return 10 + window_index
+
+        trace = run_bootstrap(constant_scenario(growth=CountingGrowth(), window_count=5))
+        assert calls == [0, 1, 2, 3, 4]
+        assert [w.fleet_size for w in trace.windows] == [10, 11, 12, 13, 14]
+        assert [w.window_demands for w in trace.windows] == [10**4, 11000, 12000, 13000, 14000]
+
     def test_evidence_past_count_cap_names_scenario_keys(self):
         # Windows of 1, 2, 3 and 4 times 2**1020 demands: every window's own
         # count is valid, but the evidence reaches 10 * 2**1020 >= 2**1022.

@@ -103,8 +103,10 @@ CHANGED = {
     "sweep --r 1e3": _USAGE,
     "frobnicate": _USAGE,
     # The stationarity root is found by Newton's method, not bisection: each of
-    # these worst_case_q values moves by at most 2.8e-16 relative, and window
-    # 22's lower_bound by 1 ulp, all within 3e-16 of the 60-digit values.
+    # these worst_case_q values moves by at most 2.8e-16 relative, within 3e-16
+    # of the 60-digit values.  Window 22's lower_bound, which Newton's root had
+    # moved by 1 ulp, is back at its recorded value: the bound is now the root's
+    # first term (1 + n/r)(1 - q)**n, 5.4e-17 from the 60-digit minimum.
     BOOTSTRAP_CSV: _csv_with(BOOTSTRAP_CSV, {
         "3.8766252885512255e-05": "3.876625288551226e-05",
         "1.8515385744813876e-06": "1.8515385744813874e-06",
@@ -123,7 +125,6 @@ CHANGED = {
         "4.9614078841925056e-08": "4.961407884192506e-08",
         "3.64416867181532e-08": "3.644168671815321e-08",
         "3.3201976500431864e-08": "3.320197650043187e-08",
-        "0.999678028107956": "0.9996780281079559",
         "3.037591806369043e-08": "3.037591806369044e-08",
         "2.5707809384937845e-08": "2.5707809384937848e-08",
         "2.376740506549738e-08": "2.3767405065497382e-08",
@@ -135,6 +136,12 @@ CHANGED = {
         "1.173334720039028e-08": "1.1733347200390282e-08",
         "1.1123794456029795e-08": "1.1123794456029797e-08",
         "1.0039009696785462e-08": "1.0039009696785463e-08",
+        # The bound is the root's first term (1 + n/r)(1 - q)**n: these
+        # lower_bounds move by at most 3.4e-16 relative.  Each is followed by
+        # its distance to the 60-digit minimum.
+        "0.9904522395196235": "0.9904522395196231",  # -2.9e-16
+        "0.9987614959529437": "0.9987614959529436",  # -6.5e-17
+        "0.999799877973426": "0.9997998779734258",  # -5.7e-17
     }),
     SWEEP_CSV: _csv_with(SWEEP_CSV, {
         "0.00047138042372539443": "0.0004713804237253945",
@@ -142,6 +149,20 @@ CHANGED = {
         "0.0004623555043552599": "0.00046235550435525994",
         "0.00024047998571383481": "0.00024047998571383484",
         "6.956387242751957e-05": "6.956387242751959e-05",
+        # The bound is the root's first term (1 + n/r)(1 - q)**n: each
+        # lower_bound moves by at most 6.7e-16 relative, and the
+        # excess_over_floor after it by the same amount.  Each bound is
+        # followed by its distance to the 60-digit minimum.
+        "0.9050228679119038": "0.9050228679119037",  # -1.1e-16
+        "0.005022867911903761": "0.00502286791190365",
+        "0.973665961010276": "0.9736659610102759",  # -8.3e-17
+        "0.073665961010276": "0.0736659610102759",
+        "0.9905412982654657": "0.990541298265465",  # -6.4e-16
+        "0.0005412982654656728": "0.0005412982654650067",
+        "0.9928320295042484": "0.9928320295042481",  # -3.1e-16
+        "0.0028320295042484345": "0.0028320295042481014",
+        "0.9974874213239909": "0.9974874213239908",  # -1.3e-16
+        "0.007487421323990939": "0.007487421323990828",
     }),
 }
 

@@ -28,6 +28,7 @@ from oracles import (
     discrete_predictive_mp,
     minimize_point_predictive_log1m_mp,
     minimize_point_predictive_mp,
+    point_predictive_log1m_mp,
     point_predictive_mp,
     stationarity_root_log1m_mp,
     stationarity_root_mp,
@@ -232,11 +233,24 @@ class TestWorstCase:
     @settings(max_examples=60, deadline=None)
     def test_stationarity_root_matches_high_precision_root(self, p_nf, r, n):
         # A root that reached the step cap would raise ArithmeticError here.
-        _, _, c1, log_n, log_r, n_f, s_f, _ = inference._pair_terms(r, n)
+        _, _, c1, log_n, log_r, n_f, s_f = inference._pair_terms(r, n)
         x = inference._stationarity_root(
             c1, math.log1p(-p_nf) - math.log(p_nf) + log_n - log_r, n_f, s_f)
         expected = stationarity_root_log1m_mp(p_nf, r, n, iterations=200)
         assert float(abs(x - expected) / abs(expected)) <= 1e-14, (p_nf, r, n, x, expected)
+
+    @given(extreme_p_nf, extreme_counts, extreme_counts)
+    @example(1e-300, 10**9, 2)
+    @example(1.0 - 1e-15, 1, 10**12)
+    @example(0.99, 100, 10**4)
+    @settings(max_examples=60, deadline=None)
+    def test_interior_bound_within_derived_error(self, p_nf, r, n):
+        # The first-order error bound derived in inference._row's docstring.
+        exact = point_predictive_log1m_mp(p_nf, stationarity_root_log1m_mp(p_nf, r, n), r, n)
+        tol = 2.0**-53 * (2 * math.log1p(n / r) + math.log(n) + math.log(r) + 18)
+        assert tol <= 2e-14
+        bound = worst_case_survival(p_nf, r, n).lower_bound
+        assert abs(mp.mpf(bound) - exact) <= tol, (p_nf, r, n, bound, exact)
 
     def test_stationarity_root_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(inference, "_NEWTON_STEP_CAP", 1)
