@@ -12,10 +12,10 @@ For a point mass at q the predictive is
 
     g(q) = (p_nf + (1 - p_nf) * (1 - q)**(r + n)) / (p_nf + (1 - p_nf) * (1 - q)**r)
 
-All powers are evaluated as exp(k * log1p(-q)) and ratios as differences of
-log-sum-exp terms, so r + n up to ~10**12 is safe.  The minimum is the
-stationarity root's first term (see ``_row``); ``_log_g`` evaluates g at any q
-for ``predictive_given_point_prior``.  ``grid_worst_case`` is a
+All powers are evaluated as exp(k * log1p(-q)), so demand counts up to
+2**1022 are safe.  The minimum is the stationarity root's first term (see
+``_row``); ``predictive_given_point_prior`` evaluates g at any q through its
+complement 1 - g, which has no cancelling logs.  ``grid_worst_case`` is a
 deliberately brute-force minimizer kept independent of the optimizer so the
 two can check each other.
 """
@@ -44,10 +44,14 @@ __all__ = [
 
 # Brute-force oracle grid runs log-spaced over [_GRID_Q_MIN, 1] plus {0, 1}.
 _GRID_Q_MIN = 1e-15
-# Newton steps allowed for the stationarity root, which takes about ln(r/n) of
-# them when r >> n and p_nf is small: about 30 for r <= 10**12, and at most
-# ln(2**1022) = 708 for any valid count, so valid input never reaches the cap.
+# Newton steps allowed for the stationarity root.  From its closed-form start
+# and an unconditional first step (on a convex, increasing F any step lands
+# right of the root) it takes 2.9 steps on average and at most 9 over
+# perfbench's sweep-grid pools of seeds 1-3 and 71-73, and 3 at
+# r = 2**1022 - 1, n = 1 (689 from the old start x = -c1/n).
 _NEWTON_STEP_CAP = 1000
+# Below this M the root estimate moves x by less than an ulp (see _stationarity_root).
+_M_FLAT = math.log(2.0**-53)
 
 
 class DegenerateConditioningError(ValueError):
@@ -124,21 +128,6 @@ def _logsumexp(values: Iterable[float]) -> float:
     return m + math.log(math.fsum(math.exp(v - m) for v in vals))
 
 
-def _log_g(log_a: float, log_b: float, x: float, r: float, s: float) -> float:
-    """log g at x = log(1 - q), from log a and log b = log(1 - a) for a in (0, 1), and s = r + n."""
-    # Each term is log(a + b*u**k) = logaddexp(log a, log b + k*x) with the larger
-    # exponent factored out; a term of -inf (k*x overflowed) adds exactly 0.
-    u, v = log_a, log_b + s * x
-    if u < v:
-        u, v = v, u
-    log_num = u + math.log1p(math.exp(v - u))
-    u, v = log_a, log_b + r * x
-    if u < v:
-        u, v = v, u
-    log_den = u + math.log1p(math.exp(v - u))
-    return log_num - log_den
-
-
 @functools.lru_cache(maxsize=1)
 def _oracle_grid(K: int) -> tuple[np.ndarray, np.ndarray]:
     """The oracle's q grid and log1p(-q) on it, read-only; kept for the last K."""
@@ -169,7 +158,18 @@ def predictive_given_point_prior(p_nf: float, q: float, r: int, n: int) -> Proba
     """Probability of surviving n further demands after r failure-free ones,
     under the prior "fault-free with probability p_nf, else failure rate exactly q".
 
-    Evaluates g(q) in the log domain.
+    With a = p_nf, b = 1 - a, u = 1 - q and x = log u, g is 1 - c for the
+    complement c = (1 - u**n)*sigmoid(t), t = log(b/a) + r*x, so no logs of
+    size |log a| cancel.  Error, to first order in eps = 2**-53 (exp, expm1,
+    log and log1p within 1 ulp): t carries
+    eps*(2*|log a| + 2*|log b| + |log(b/a)| + 3*r*|x| + |t|), the 3*r*|x|
+    from x's own error, and it reaches g times sigmoid'(t); expm1 adds at
+    most (3/e + 2)*eps, the sigmoid 6*eps, the product and the sum one
+    rounding each.  So g is within
+    eps*(12 + sigmoid'(t)*(2*|log a| + 2*|log b| + |log(b/a)| + 3*r*|x| + |t|)).
+    As sigmoid'(t) <= min(1/4, exp(t)), sigmoid'(t)*r*|x| is at most
+    (max(0, log(b/a)) + 2)/4 and sigmoid'(t)*|t| < 0.23, so that is at most
+    eps*(1.5*|log a| + 0.75*|log b| + 14): 1.2e-13 at a = 1e-300.
 
     Raises:
         DegenerateConditioningError: if p_nf = 0, q = 1 and r, n >= 1, where
@@ -180,49 +180,74 @@ def predictive_given_point_prior(p_nf: float, q: float, r: int, n: int) -> Proba
     r = check_demand_count(r, "r")
     n = check_demand_count(n, "n")
     if n == 0 or q == 0.0 or a == 1.0:
-        log_g = 0.0
+        g = 1.0
     elif q < 1.0:
         x = math.log1p(-q)
-        log_g = n * x if a == 0.0 else _log_g(math.log(a), math.log1p(-a), x, r, r + n)
+        if a == 0.0:
+            g = math.exp(n * x)
+        else:
+            t = math.log1p(-a) - math.log(a) + r * x
+            e = math.exp(-abs(t))
+            sigmoid = (1.0 if t >= 0.0 else e) / (1.0 + e)
+            g = 1.0 + math.expm1(n * x) * sigmoid
     elif r == 0:
-        log_g = math.log(a) if a > 0.0 else -math.inf
+        g = a
     elif a > 0.0:
-        log_g = 0.0  # surviving r demands at q = 1 forces the fault-free branch
+        g = 1.0  # surviving r demands at q = 1 forces the fault-free branch
     else:
         raise DegenerateConditioningError(
             f"p_nf = 0 and q = 1 assign probability 0 to surviving r={r} demands"
         )
-    return Probability(min(1.0, math.exp(log_g)))
+    return Probability(g)
 
 
 def _pair_terms(r: int, n: int) -> tuple:
-    """A validated (r, n) pair and its root terms: log1p(n/r), log n, log r, then n and r + n
-    as floats.  They are NaN where r or n is 0, since the bound is then an endpoint."""
+    """A validated (r, n) pair and its root terms: log1p(n/r), log n, log r, n and r + n as
+    floats, then -(r/n)*log1p(n/r), the pair's part of the root estimate's M (see
+    _stationarity_root).  They are NaN where r or n is 0, since the bound is then an endpoint."""
     if r == 0 or n == 0:
-        return r, n, math.nan, math.nan, math.nan, math.nan, math.nan
-    return r, n, math.log1p(n / r), math.log(n), math.log(r), float(n), float(r + n)
+        return r, n, math.nan, math.nan, math.nan, math.nan, math.nan, math.nan
+    c1 = math.log1p(n / r)
+    return r, n, c1, math.log(n), math.log(r), float(n), float(r + n), -(r / n) * c1
 
 
-def _stationarity_root(c1: float, c2: float, n: float, s: float) -> float:
+def _stationarity_root(c1: float, c2: float, n: float, s: float, m: float) -> float:
     """x* = log(1 - q*) at the unique interior minimum of g, for a in (0,1), r,n >= 1.
 
     Clearing denominators in g'(q) = 0 and dividing by a*r gives, with
     u = 1 - q and b = 1 - a,
 
-        (1 + n/r)*u**n + (b/a)*(n/r)*u**(r + n) = 1
+        A + B = 1,  A = (1 + n/r)*u**n,  B = (b/a)*(n/r)*u**(r + n)
 
     Scaled this way both sides are O(1), so the root keeps its resolution
     when r >> n.  In x = log u the equation is F(x) = 0, where the log of the
     left side, F(x) = logaddexp(c1 + n*x, c2 + s*x) with c1 = log1p(n/r),
     c2 = log(b/a) + log n - log r and s = r + n, is convex and increasing.
-    Newton's method starts at x = -c1/n, where the first term alone makes
-    F >= 0; right of the root each tangent of such an F meets zero between
-    the root and x, so the iterates fall monotonically and never overshoot.
-    It stops at the first step that no longer decreases x, and raises
-    ArithmeticError after _NEWTON_STEP_CAP steps.
+
+    Newton's method starts at an estimate of the root x_a - z/s, x_a = -c1/n
+    (where A = 1).  Taking 1 - exp(-n*z/s) ~ n*z/s, A + B = 1 becomes
+    z + log z = M, M = c2 + s*x_a + log1p(r/n) = log(b/a) - (r/n)*c1 (the
+    argument m), whose root is z ~ M - log M + log(M)/M for M > 1 and
+    z ~ y*(2 + y)/(2 + 3*y), y = exp(M), otherwise (two-term expansions as
+    M -> inf and y -> 0).  Below M = _M_FLAT = log(2**-53) the start is x_a,
+    which is then within an ulp of the root: z*n/(s*c1) <= z <= y*(1 + z).
+
+    The estimate may lie on either side of the root, so the first step is
+    taken whatever its direction: F' >= n > 0 and a convex F lies above
+    each tangent, so a step from any x lands right of the root.  Right of
+    the root each tangent meets zero between the root and x, so the later
+    iterates fall monotonically and never overshoot.  The loop stops at the
+    first later step that no longer decreases x, and raises ArithmeticError
+    after _NEWTON_STEP_CAP steps, the first one included.
     """
     x = -c1 / n
-    for _ in range(_NEWTON_STEP_CAP):
+    if m > 1.0:
+        y = math.log(m)
+        x -= (m - y + y / m) / s
+    elif m > _M_FLAT:
+        y = math.exp(m)
+        x -= y * (2.0 + y) / ((2.0 + 3.0 * y) * s)
+    for i in range(_NEWTON_STEP_CAP):
         # F and F' from the same two exponentials, the larger one factored out.
         t1, t2 = c1 + n * x, c2 + s * x
         if t1 >= t2:
@@ -231,7 +256,7 @@ def _stationarity_root(c1: float, c2: float, n: float, s: float) -> float:
         else:
             e = math.exp(t1 - t2)
             x_next = x - (t2 + math.log1p(e)) * (1.0 + e) / (s + n * e)
-        if x_next >= x:
+        if x_next >= x and i:
             return x
         x = x_next
     raise ArithmeticError(f"stationarity root took over {_NEWTON_STEP_CAP} Newton steps")
@@ -270,14 +295,15 @@ def _row(a: float, pairs: Sequence[tuple]) -> list[SurvivalPrediction]:
     and e3 = log(exp(t1) + exp(t2)) there, the bound is off from g by
     A*(B*(s*e1 - n*e2) + n*e3)/(n*A + s*B) + 2*eps*g.  So e1 weighs at most
     min(A, A*B*s/n), e2 at most min(A*B, A*n/s) and e3 at most A, and no
-    |log a| cancels as it does in _log_g.  |e1| <= eps*(3*c1 + 2*|log A| + 1),
+    |log a| cancels as in a ratio of log-add-exps.
+    |e1| <= eps*(3*c1 + 2*|log A| + 1),
     |e2| <= eps*(s*|x| + |log B| + 5*|d| + 4*log n + 3*log r + 3) with e2's
     weight times |d| below 1.72, and the stop leaves
     |e3| <= eps*(|x|*(n*A + s*B) + 2).  Summed, the error is at most
     eps*(2*c1 + log n + log r + 18): 1.2e-14 for counts up to 10**12.
     """
     rows, d = [], None
-    for r, n, c1, log_n, log_r, n_f, s_f in pairs:
+    for r, n, c1, log_n, log_r, n_f, s_f, m in pairs:
         if n == 0 or a == 1.0:
             bound, q = 1.0, 0.0
         elif r == 0 or a == 0.0:
@@ -285,8 +311,9 @@ def _row(a: float, pairs: Sequence[tuple]) -> list[SurvivalPrediction]:
         else:
             if d is None:  # at the first interior cell, so a row of endpoints takes no logs
                 d = math.log1p(-a) - math.log(a)
-            x = _stationarity_root(c1, d + log_n - log_r, n_f, s_f)
-            bound, q = min(1.0, max(a, math.exp(c1 + n_f * x))), -math.expm1(x)
+            x = _stationarity_root(c1, d + log_n - log_r, n_f, s_f, d + m)
+            g = math.exp(c1 + n_f * x)
+            bound, q = a if g < a else 1.0 if g > 1.0 else g, -math.expm1(x)
         row = _new(SurvivalPrediction)
         _set_p_nf(row, a)
         _set_r(row, r)

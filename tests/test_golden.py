@@ -109,7 +109,6 @@ CHANGED = {
     # first term (1 + n/r)(1 - q)**n, 5.4e-17 from the 60-digit minimum.
     BOOTSTRAP_CSV: _csv_with(BOOTSTRAP_CSV, {
         "3.8766252885512255e-05": "3.876625288551226e-05",
-        "1.8515385744813876e-06": "1.8515385744813874e-06",
         "1.024322968347531e-06": "1.0243229683475312e-06",
         "4.500788279459577e-07": "4.5007882794595776e-07",
         "2.521786587708624e-07": "2.521786587708625e-07",
@@ -119,50 +118,55 @@ CHANGED = {
         "1.1176874066997594e-07": "1.1176874066997595e-07",
         "9.520375464378844e-08": "9.520375464378847e-08",
         "8.2067663791569e-08": "8.206766379156902e-08",
-        "7.147510616533363e-08": "7.147510616533364e-08",
         "6.280917288493334e-08": "6.280917288493335e-08",
         "5.562930765091068e-08": "5.5629307650910684e-08",
         "4.9614078841925056e-08": "4.961407884192506e-08",
         "3.64416867181532e-08": "3.644168671815321e-08",
         "3.3201976500431864e-08": "3.320197650043187e-08",
         "3.037591806369043e-08": "3.037591806369044e-08",
-        "2.5707809384937845e-08": "2.5707809384937848e-08",
         "2.376740506549738e-08": "2.3767405065497382e-08",
-        "2.2038707708882653e-08": "2.2038707708882657e-08",
         "2.049199964603291e-08": "2.0491999646032914e-08",
         "1.784987823784238e-08": "1.7849878237842383e-08",
         "1.671647372713709e-08": "1.6716473727137092e-08",
-        "1.475106379122727e-08": "1.4751063791227271e-08",
         "1.173334720039028e-08": "1.1733347200390282e-08",
         "1.1123794456029795e-08": "1.1123794456029797e-08",
-        "1.0039009696785462e-08": "1.0039009696785463e-08",
         # The bound is the root's first term (1 + n/r)(1 - q)**n: these
         # lower_bounds move by at most 3.4e-16 relative.  Each is followed by
         # its distance to the 60-digit minimum.
         "0.9904522395196235": "0.9904522395196231",  # -2.9e-16
         "0.9987614959529437": "0.9987614959529436",  # -6.5e-17
         "0.999799877973426": "0.9997998779734258",  # -5.7e-17
+        # The root starts at a closed-form estimate of itself (see
+        # inference._stationarity_root), so its last steps can end an ulp or
+        # two away: these worst_case_q values moved by at most 1.9e-16
+        # relative.  Each is followed by its relative distance to the 60-digit
+        # root.  Windows 2 and 32 are back at their recorded values, +8.6e-17
+        # and +4.1e-17 from it.
+        "7.147510616533363e-08": "7.147510616533366e-08",  # +2.4e-16
+        "4.452450732108095e-08": "4.4524507321080956e-08",  # +3.4e-17
+        "2.5707809384937845e-08": "2.570780938493785e-08",  # +9.3e-17
+        "2.2038707708882653e-08": "2.203870770888266e-08",  # +2.9e-17
+        "1.3112970966366861e-08": "1.3112970966366863e-08",  # +5.2e-17
+        "1.0039009696785462e-08": "1.0039009696785465e-08",  # +5.1e-17
     }),
     SWEEP_CSV: _csv_with(SWEEP_CSV, {
         "0.00047138042372539443": "0.0004713804237253945",
-        "7.198082631239405e-05": "7.198082631239406e-05",
         "0.0004623555043552599": "0.00046235550435525994",
         "0.00024047998571383481": "0.00024047998571383484",
-        "6.956387242751957e-05": "6.956387242751959e-05",
         # The bound is the root's first term (1 + n/r)(1 - q)**n: each
         # lower_bound moves by at most 6.7e-16 relative, and the
         # excess_over_floor after it by the same amount.  Each bound is
-        # followed by its distance to the 60-digit minimum.
+        # followed by its distance to the 60-digit minimum.  From the root's
+        # closed-form start, the rows (0.9, 10**4, 10**4) and (0.99, 10**4,
+        # 10**4) are back at their recorded values: worst_case_q -1.8e-16 and
+        # -2.6e-16 relative from the 60-digit root, lower_bound +1.8e-18 and
+        # -4.5e-17 from the 60-digit minimum.
         "0.9050228679119038": "0.9050228679119037",  # -1.1e-16
         "0.005022867911903761": "0.00502286791190365",
-        "0.973665961010276": "0.9736659610102759",  # -8.3e-17
-        "0.073665961010276": "0.0736659610102759",
         "0.9905412982654657": "0.990541298265465",  # -6.4e-16
         "0.0005412982654656728": "0.0005412982654650067",
         "0.9928320295042484": "0.9928320295042481",  # -3.1e-16
         "0.0028320295042484345": "0.0028320295042481014",
-        "0.9974874213239909": "0.9974874213239908",  # -1.3e-16
-        "0.007487421323990939": "0.007487421323990828",
     }),
 }
 

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 import pickle
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -132,6 +133,24 @@ class TestPointPredictive:
         value = predictive_given_point_prior(p_nf, q, r, n)
         assert value == pytest.approx(float(point_predictive_mp(p_nf, q, r, n)), abs=1e-12)
 
+    # q ranges over the same two log-uniform tails as p_nf.
+    @given(extreme_p_nf, extreme_p_nf, extreme_counts, extreme_counts)
+    @example(5.8e-248, 7.3e-8, 7_700_000_000, 23067)
+    @example(2.1573283432004632e-157, 0.9998465990802559, 41, 553)  # t near 0: r*x weighs most
+    @settings(max_examples=60, deadline=None)
+    def test_extreme_domain_within_derived_error(self, p_nf, q, r, n):
+        # The first-order bound derived in predictive_given_point_prior's docstring.
+        log_a, log_b = math.log(p_nf), math.log1p(-p_nf)
+        w = -r * math.log1p(-q)
+        t = log_b - log_a - w
+        sigmoid_slope = math.exp(-abs(t)) / (1.0 + math.exp(-abs(t))) ** 2
+        tol = 2.0**-53 * (12 + sigmoid_slope * (
+            2 * abs(log_a) + 2 * abs(log_b) + abs(log_b - log_a) + 3 * w + abs(t)))
+        assert tol <= 2.0**-53 * (1.5 * abs(log_a) + 0.75 * abs(log_b) + 14)
+        value = predictive_given_point_prior(p_nf, q, r, n)
+        exact = point_predictive_mp(p_nf, q, r, n)
+        assert abs(mp.mpf(value) - exact) <= tol, (p_nf, q, r, n, value, exact)
+
 
 class TestWorstCase:
     def test_no_evidence_gives_floor(self):
@@ -230,12 +249,20 @@ class TestWorstCase:
     @example(1e-300, 10**12, 1)
     @example(1e-300, 1, 1)
     @example(1.0 - 1e-15, 10**12, 10**12)
+    # The start's estimate at the edges of its branches: M just above and just
+    # below 1, then just above and just below _M_FLAT (M = -36.7366, -36.7370).
+    @example(0.1553, 1, 1)
+    @example(0.1554, 1, 1)
+    @example(1.0 - 2.0**-52, 999, 1000)
+    @example(1.0 - 2.0**-52, 1001, 1000)
+    # The estimate lies left of the root, so the first step goes right.
+    @example(0.5, 10**6, 1)
     @settings(max_examples=60, deadline=None)
     def test_stationarity_root_matches_high_precision_root(self, p_nf, r, n):
         # A root that reached the step cap would raise ArithmeticError here.
-        _, _, c1, log_n, log_r, n_f, s_f = inference._pair_terms(r, n)
-        x = inference._stationarity_root(
-            c1, math.log1p(-p_nf) - math.log(p_nf) + log_n - log_r, n_f, s_f)
+        _, _, c1, log_n, log_r, n_f, s_f, m = inference._pair_terms(r, n)
+        d = math.log1p(-p_nf) - math.log(p_nf)
+        x = inference._stationarity_root(c1, d + log_n - log_r, n_f, s_f, d + m)
         expected = stationarity_root_log1m_mp(p_nf, r, n, iterations=200)
         assert float(abs(x - expected) / abs(expected)) <= 1e-14, (p_nf, r, n, x, expected)
 
@@ -261,6 +288,15 @@ class TestWorstCase:
         scenario = FleetScenario(ConstantGrowth(10), 10**3, 1, 0.9, 10**3, 0.5)
         with pytest.raises(ArithmeticError):
             run_bootstrap(scenario)
+
+    @given(grid_p_nf, grid_counts, grid_counts)
+    @example([0.0361], [7462339471], [2])
+    @example([1e-300], [10**12], [1])
+    @settings(max_examples=60, deadline=None)
+    def test_stationarity_root_takes_at_most_12_steps(self, p_nfs, rs, ns):
+        # About ln(r/n) steps from the old start x = -c1/n: (1e-300, 10**12, 1) took 28.
+        with mock.patch.object(inference, "_NEWTON_STEP_CAP", 12):
+            sweep(p_nfs, rs, ns)
 
     @pytest.mark.parametrize("p_nf", [1e-300, 0.5, 1.0 - 1e-15])
     @pytest.mark.parametrize(
