@@ -97,18 +97,23 @@ def cmd_predict(args: argparse.Namespace) -> int:
     scenario = _resolve(args)
     p_nf, r = float(scenario.model.p_nf), scenario.evidence.r
 
+    lines = []
+    for n in scenario.query.values():
+        pred = worst_case_survival(p_nf, r, n)
+        lines += [
+            f"  n = {n}:",
+            f"    lower bound       : {format_probability(pred.lower_bound)}",
+            f"    worst-case q      : {format_probability(pred.worst_case_q)}",
+            f"    excess over floor : {pred.excess_over_floor:.12g}",
+        ]
+        if scenario.prior is not None:
+            exact = posterior_predictive_discrete(scenario.prior, r, n)
+            lines.append(f"    supplied-prior predictive : {format_probability(exact)}")
+
     print("conservative prediction of failure-free operation")
     print(f"  assessed p_nf : {format_probability(p_nf)}")
     print(f"  evidence r    : {r}")
-    for n in scenario.query.values():
-        pred = worst_case_survival(p_nf, r, n)
-        print(f"  n = {n}:")
-        print(f"    lower bound       : {format_probability(pred.lower_bound)}")
-        print(f"    worst-case q      : {format_probability(pred.worst_case_q)}")
-        print(f"    excess over floor : {pred.excess_over_floor:.12g}")
-        if scenario.prior is not None:
-            exact = posterior_predictive_discrete(scenario.prior, r, n)
-            print(f"    supplied-prior predictive : {format_probability(exact)}")
+    print("\n".join(lines))
     return 0
 
 

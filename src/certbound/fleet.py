@@ -30,7 +30,6 @@ __all__ = [
     "WindowRecord",
     "BootstrapTrace",
     "FeasibilityVerdict",
-    "demands_in_window",
     "run_bootstrap",
     "check_feasibility",
 ]
@@ -164,16 +163,6 @@ class FeasibilityVerdict:
     first_failing_window: Optional[int]
     final_cumulative_demands: int
     minimum_margin: Optional[float]
-
-
-def demands_in_window(scenario: FleetScenario, window_index: int) -> int:
-    """Fleet size at the window times demands per aircraft per window."""
-    if not 0 <= window_index < scenario.window_count:
-        raise IndexError(
-            f"window_index {window_index} out of range for "
-            f"{scenario.window_count} windows"
-        )
-    return scenario.growth.fleet_size(window_index) * scenario.demands_per_aircraft_per_window
 
 
 def run_bootstrap(scenario: FleetScenario) -> BootstrapTrace:

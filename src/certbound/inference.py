@@ -14,10 +14,10 @@ For a point mass at q the predictive is
 
 All powers are evaluated as exp(k * log1p(-q)), so demand counts up to
 2**1022 are safe.  The minimum is the stationarity root's first term (see
-``_row``); ``predictive_given_point_prior`` evaluates g at any q through its
-complement 1 - g, which has no cancelling logs.  ``grid_worst_case`` is a
-deliberately brute-force minimizer kept independent of the optimizer so the
-two can check each other.
+``_row``); ``posterior_predictive_discrete`` evaluates any finite prior's
+predictive through its complement, to relative accuracy.  ``grid_worst_case``
+is a deliberately brute-force minimizer kept independent of the optimizer so
+the two can check each other.
 """
 
 from __future__ import annotations
@@ -25,17 +25,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .reliability import Probability, check_demand_count, log_survive_run
+from .reliability import Probability, check_demand_count
 
 __all__ = [
     "DiscretePrior",
     "SurvivalPrediction",
     "DegenerateConditioningError",
-    "predictive_given_point_prior",
     "worst_case_survival",
     "grid_worst_case",
     "posterior_predictive_discrete",
@@ -120,14 +119,6 @@ def _refuse(self: SurvivalPrediction, name: str, *value: object) -> None:
 SurvivalPrediction.__setattr__ = SurvivalPrediction.__delattr__ = _refuse
 
 
-def _logsumexp(values: Iterable[float]) -> float:
-    vals = list(values)
-    m = max(vals)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(math.fsum(math.exp(v - m) for v in vals))
-
-
 @functools.lru_cache(maxsize=1)
 def _oracle_grid(K: int) -> tuple[np.ndarray, np.ndarray]:
     """The oracle's q grid and log1p(-q) on it, read-only; kept for the last K."""
@@ -152,53 +143,6 @@ def _log_predictive_vec(a: float, lu: np.ndarray, r: int, n: int) -> np.ndarray:
     log_num = np.logaddexp(log_a, log_b + (r + n) * lu)
     log_den = np.logaddexp(log_a, log_b + r * lu) if r > 0 else 0.0
     return log_num - log_den
-
-
-def predictive_given_point_prior(p_nf: float, q: float, r: int, n: int) -> Probability:
-    """Probability of surviving n further demands after r failure-free ones,
-    under the prior "fault-free with probability p_nf, else failure rate exactly q".
-
-    With a = p_nf, b = 1 - a, u = 1 - q and x = log u, g is 1 - c for the
-    complement c = (1 - u**n)*sigmoid(t), t = log(b/a) + r*x, so no logs of
-    size |log a| cancel.  Error, to first order in eps = 2**-53 (exp, expm1,
-    log and log1p within 1 ulp): t carries
-    eps*(2*|log a| + 2*|log b| + |log(b/a)| + 3*r*|x| + |t|), the 3*r*|x|
-    from x's own error, and it reaches g times sigmoid'(t); expm1 adds at
-    most (3/e + 2)*eps, the sigmoid 6*eps, the product and the sum one
-    rounding each.  So g is within
-    eps*(12 + sigmoid'(t)*(2*|log a| + 2*|log b| + |log(b/a)| + 3*r*|x| + |t|)).
-    As sigmoid'(t) <= min(1/4, exp(t)), sigmoid'(t)*r*|x| is at most
-    (max(0, log(b/a)) + 2)/4 and sigmoid'(t)*|t| < 0.23, so that is at most
-    eps*(1.5*|log a| + 0.75*|log b| + 14): 1.2e-13 at a = 1e-300.
-
-    Raises:
-        DegenerateConditioningError: if p_nf = 0, q = 1 and r, n >= 1, where
-            the prior gives the observed r failure-free demands no probability.
-    """
-    a = float(Probability(p_nf))
-    q = float(Probability(q))
-    r = check_demand_count(r, "r")
-    n = check_demand_count(n, "n")
-    if n == 0 or q == 0.0 or a == 1.0:
-        g = 1.0
-    elif q < 1.0:
-        x = math.log1p(-q)
-        if a == 0.0:
-            g = math.exp(n * x)
-        else:
-            t = math.log1p(-a) - math.log(a) + r * x
-            e = math.exp(-abs(t))
-            sigmoid = (1.0 if t >= 0.0 else e) / (1.0 + e)
-            g = 1.0 + math.expm1(n * x) * sigmoid
-    elif r == 0:
-        g = a
-    elif a > 0.0:
-        g = 1.0  # surviving r demands at q = 1 forces the fault-free branch
-    else:
-        raise DegenerateConditioningError(
-            f"p_nf = 0 and q = 1 assign probability 0 to surviving r={r} demands"
-        )
-    return Probability(g)
 
 
 def _pair_terms(r: int, n: int) -> tuple:
@@ -350,33 +294,56 @@ def grid_worst_case(p_nf: float, r: int, n: int, K: int) -> SurvivalPrediction:
 
 
 def posterior_predictive_discrete(prior: DiscretePrior, r: int, n: int) -> Probability:
-    """Exact Bayesian posterior predictive for a finite mixture prior.
+    """Exact Bayesian posterior predictive for a finite mixture prior,
 
-    Returns
-        (p_nf + sum_i w_i (1 - q_i)**(r + n)) / (p_nf + sum_i w_i (1 - q_i)**r)
+        (p_nf + sum_i w_i (1 - q_i)**(r + n)) / (p_nf + sum_i w_i (1 - q_i)**r),
 
-    computed with log-sum-exp over the atom terms.
+    returned as 1 - c, its complement c evaluated to relative accuracy by ``_complement``.
 
     Raises:
         DegenerateConditioningError: if the denominator is zero, i.e. the
             prior gives the observed r failure-free demands no probability.
     """
-    r = check_demand_count(r, "r")
-    n = check_demand_count(n, "n")
-    log_pnf = prior.p_nf.log
-    log_den_terms = [log_pnf] + [
-        math.log(w) + log_survive_run(q, r) for q, w in prior.atoms
-    ]
-    log_den = _logsumexp(log_den_terms)
-    if log_den == -math.inf:
-        raise DegenerateConditioningError(
-            f"prior assigns probability 0 to surviving r={r} demands"
-        )
-    log_num_terms = [log_pnf] + [
-        math.log(w) + log_survive_run(q, r + n) for q, w in prior.atoms
-    ]
-    log_num = _logsumexp(log_num_terms)
-    return Probability(min(1.0, math.exp(log_num - log_den)))
+    c = _complement(prior, check_demand_count(r, "r"), check_demand_count(n, "n"))
+    return Probability(1.0 - c)
+
+
+def _complement(prior: DiscretePrior, r: int, n: int) -> float:
+    """c = fsum_i E_i*t_i / fsum_j E_j, where E_j = exp(L_j - m), m = max L, L_0 = log a
+    (a = p_nf), L_i = log w_i + r*x_i, x_i = log1p(-q_i) and t_i = -expm1(n*x_i), t_0 = 0.
+    All terms are positive, so nothing cancels, and c <= 1 as E_i*t_i <= E_i.  At q_i = 1,
+    r = 0 gives L_i = log w_i and n = 0 gives t_i = 0.
+
+    Error, to first order in eps = 2**-53 (+, *, / and fsum within eps; exp, expm1, log
+    and log1p within 2*eps): L_0 is off by |d_0| <= 2*eps*|log a| and L_i by
+    |d_i| <= eps*(3*|log w_i| + 5*r*|x_i|).  An error common to all L cancels, so E_j is
+    off by |p_j| <= |d_j| + |d_m| + eps*(y_j + 2), y_j = m - L_j, relatively.  t_i is
+    within 6*eps (1 - e**v has condition number |v|*e**v/(1 - e**v) <= 1 at v < 0);
+    products, fsums and division add 4*eps.  With N, D the two sums, s_j = E_j*t_j/N
+    and f_j = E_j/D, sum_j |s_j - f_j| <= 2 and log(computed c / c) =
+    sum_j p_j*(s_j - f_j) + 10*eps at most, so
+
+        |computed c / c - 1| <= 10*eps + 2*max_j (|d_j| + |d_m| + eps*(y_j + 2))
+
+    over the terms with y_j < 745; the rest underflow to 0 and, with subnormal roundings,
+    add at most 2*K*2**-1074 absolute over K atoms.  As m >= log a, such a term has
+    r*|x_i| <= |log w_i| + |log a| + 745, so the bound is at most
+    eps*(32*max|log w_i| + 20*|log a| + 16404): 5.8e-12 at a, w_i >= 1e-300.
+
+    Raises:
+        DegenerateConditioningError: if every term is 0 (m = -inf).
+    """
+    a = float(prior.p_nf)
+    logs, tails = [math.log(a) if a > 0.0 else -math.inf], [0.0]
+    for q, w in prior.atoms:
+        x = math.log1p(-q) if q < 1.0 else -math.inf
+        logs.append(math.log(w) + (r * x if r else 0.0))
+        tails.append(-math.expm1(n * x) if n else 0.0)
+    m = max(logs)
+    if m == -math.inf:
+        raise DegenerateConditioningError(f"prior assigns probability 0 to surviving r={r} demands")
+    weights = [math.exp(v - m) for v in logs]
+    return math.fsum(e * t for e, t in zip(weights, tails)) / math.fsum(weights)
 
 
 def sweep(

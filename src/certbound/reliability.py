@@ -44,8 +44,7 @@ class Probability(float):
 
     Rejects NaN, infinities and out-of-range values at construction instead
     of clamping, so configuration errors surface immediately.  Instances are
-    ordinary floats in arithmetic; the log-domain views are available via
-    :attr:`log` and :attr:`log_complement`.
+    ordinary floats in arithmetic.
     """
 
     __slots__ = ()
@@ -57,16 +56,6 @@ class Probability(float):
         if v == 0.0:
             v = 0.0  # -0.0 would print as "-0"
         return super().__new__(cls, v)
-
-    @property
-    def log(self) -> float:
-        """log(p); -inf for p == 0."""
-        return math.log(self) if self > 0.0 else -math.inf
-
-    @property
-    def log_complement(self) -> float:
-        """log(1 - p); -inf for p == 1."""
-        return math.log1p(-self) if self < 1.0 else -math.inf
 
     def __repr__(self) -> str:  # matches construction
         return f"Probability({float(self)!r})"
@@ -109,18 +98,6 @@ class MonteCarloEstimate:
     seed: int
 
 
-def log_survive_run(q: float, k: int) -> float:
-    """log((1 - q)**k): log-probability that k demands all survive at failure rate q.
-
-    Exact at the corners: 0.0 when k == 0 or q == 0, -inf when q == 1 and k > 0.
-    """
-    if k == 0 or q == 0.0:
-        return 0.0
-    if q == 1.0:
-        return -math.inf
-    return k * math.log1p(-q)
-
-
 def pfd(model: MixtureModel) -> Probability:
     """Unconditional probability of failure on a single demand.
 
@@ -142,7 +119,8 @@ def survival_probability(model: MixtureModel, n: int) -> Probability:
     p_nf = model.p_nf
     if p_nf == 1.0:
         return Probability(1.0)
-    survive = math.exp(log_survive_run(model.p_f_given_faulty, n))  # exp(-inf) == 0.0
+    q = model.p_f_given_faulty
+    survive = 0.0 if q == 1.0 else math.exp(n * math.log1p(-q))
     return Probability(p_nf + (1.0 - p_nf) * survive)
 
 

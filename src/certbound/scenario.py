@@ -134,12 +134,12 @@ def _fail(path: str, message: str, value: Any = ...) -> "ScenarioValidationError
 
 
 def _build(build: Callable, value: Any, path: str) -> Any:
-    """``build(value)``, with a ValueError it raises reported at ``path``."""
+    """``build(value)``, with a ValueError or OverflowError it raises reported at ``path``."""
     try:
         return build(value)
     except ScenarioError:
         raise
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise _fail(path, str(exc)) from None
 
 

@@ -37,6 +37,21 @@ def discrete_predictive_mp(p_nf, atoms, r, n):
     return num / den
 
 
+def discrete_complement_mp(p_nf, atoms, r, n):
+    """1 minus the finite-mixture posterior predictive, computed directly as
+    sum_i w_i u_i**r (1 - u_i**n) / (p_nf + sum_i w_i u_i**r), u_i = 1 - q_i,
+    so that it keeps its digits far below 1e-60, where 1 - discrete_predictive_mp
+    has none left."""
+    a = mp.mpf(p_nf)
+    weights, tails = [], []
+    for q, w in atoms:
+        u = 1 - mp.mpf(q)
+        weights.append(mp.mpf(w) * mp.power(u, r))
+        tails.append(-mp.expm1(n * mp.log(u)) if u else mp.mpf(n > 0))
+    den = a + mp.fsum(weights)
+    return mp.fsum(s * t for s, t in zip(weights, tails)) / den
+
+
 def minimize_point_predictive_mp(p_nf, r, n, iterations=300):
     """Ternary search in log q for the minimum of the single-atom predictive.
 

@@ -85,6 +85,21 @@ class TestPredict:
         code, _ = run(capsys, "predict", "--p-nf", "1.5", "--r", "0", "--n", "10")
         assert code == 4
 
+    def test_degenerate_prior_prints_nothing(self, capsys, tmp_path):
+        path = tmp_path / "degenerate.yaml"
+        path.write_text(
+            "model: {p_nf: 0}\n"
+            "evidence: {r: 5}\n"
+            "query: {n_grid: [3, 4]}\n"
+            "prior: {p_nf: 0, atoms: [{q: 1.0, weight: 1.0}]}\n",
+            encoding="utf-8",
+        )
+        code = main(["predict", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "prior assigns probability 0" in captured.err
+
 
 class TestInputResolution:
     @pytest.mark.parametrize(
@@ -291,6 +306,33 @@ class TestExitCodes:
         path.write_text("model: [unclosed\n", encoding="utf-8")
         code, _ = run(capsys, "predict", "--scenario", str(path))
         assert code == 3
+
+    # An integer past float range in a number key; float() raises OverflowError on it.
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("predict", "model: {p_nf: HUGE}\nevidence: {r: 5}\nquery: {n: 3}\n", "model.p_nf"),
+            ("predict", "model: {p_nf: 0.5}\nevidence: {r: 5}\nquery: {n: 3}\n"
+             "prior: {p_nf: 0.5, atoms: [{q: HUGE, weight: 0.5}]}\n", "prior.atoms[0].q"),
+            ("predict", "model: {p_nf: 0.5}\nevidence: {r: 5}\nquery: {n: 3}\n"
+             "prior: {p_nf: 0.5, atoms: [{q: 0.5, weight: HUGE}]}\n", "prior.atoms[0].weight"),
+            ("bootstrap", "bootstrap:\n"
+             "  growth: {kind: logistic, initial_fleet: 1, growth_rate: HUGE,"
+             " carrying_capacity: 5}\n"
+             "  demands_per_aircraft_per_window: 10\n  window_count: 2\n  p_nf: 0.9\n"
+             "  initial_evidence: 0\n  confidence_threshold: 0.5\n",
+             "bootstrap.growth.growth_rate"),
+        ],
+        ids=["p_nf", "atom-q", "atom-weight", "growth-rate"],
+    )
+    def test_huge_integer_is_a_validation_error(self, capsys, tmp_path, command, text, key):
+        path = tmp_path / "huge.yaml"
+        path.write_text(text.replace("HUGE", str(10**309)), encoding="utf-8")
+        code = main([command, "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {key}: ")
 
     def test_validation_error(self, capsys, tmp_path):
         path = tmp_path / "invalid.yaml"

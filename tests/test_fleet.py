@@ -11,7 +11,6 @@ from certbound.fleet import (
     LinearGrowth,
     LogisticGrowth,
     check_feasibility,
-    demands_in_window,
     run_bootstrap,
 )
 from certbound.inference import grid_worst_case, worst_case_survival
@@ -114,7 +113,7 @@ class TestDemandsInWindow:
         scenario = constant_scenario(
             growth=ConstantGrowth(10), demands_per_aircraft_per_window=500, window_count=3
         )
-        assert demands_in_window(scenario, 0) == 5000
+        assert run_bootstrap(scenario).windows[0].window_demands == 5000
 
     def test_smallest_case(self):
         scenario = constant_scenario(
@@ -122,15 +121,8 @@ class TestDemandsInWindow:
             demands_per_aircraft_per_window=1,
             window_count=2,
         )
-        assert demands_in_window(scenario, 0) == 1
-        assert demands_in_window(scenario, 1) == 2
-
-    def test_out_of_range(self):
-        scenario = constant_scenario(window_count=3)
-        with pytest.raises(IndexError):
-            demands_in_window(scenario, 3)
-        with pytest.raises(IndexError):
-            demands_in_window(scenario, -1)
+        windows = run_bootstrap(scenario).windows
+        assert [w.window_demands for w in windows] == [1, 2]
 
 
 class TestRunBootstrap:

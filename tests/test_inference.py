@@ -19,13 +19,13 @@ from certbound.inference import (
     SurvivalPrediction,
     grid_worst_case,
     posterior_predictive_discrete,
-    predictive_given_point_prior,
     sweep,
     worst_case_survival,
 )
 from certbound.reliability import MixtureModel, Probability, survival_probability
 
 from oracles import (
+    discrete_complement_mp,
     discrete_predictive_mp,
     minimize_point_predictive_log1m_mp,
     minimize_point_predictive_mp,
@@ -48,7 +48,11 @@ extreme_counts = st.floats(min_value=0.0, max_value=12.0).map(lambda e: int(roun
 grid_p_nf = st.lists(
     st.one_of(extreme_p_nf, st.sampled_from([0.0, -0.0, 1.0])), min_size=1, max_size=3
 )
-grid_counts = st.lists(st.one_of(extreme_counts, st.just(0)), min_size=1, max_size=3)
+counts = st.one_of(extreme_counts, st.just(0))
+grid_counts = st.lists(counts, min_size=1, max_size=3)
+# Discrete priors of 1-5 atoms: q and a raw weight each log-uniform over [1e-12, 1].
+log_uniform_unit = st.floats(min_value=-12.0, max_value=0.0).map(lambda e: 10.0**e)
+raw_atoms = st.lists(st.tuples(log_uniform_unit, log_uniform_unit), min_size=1, max_size=5)
 
 # Frozen from the mpmath oracles (60-digit evaluation, see oracles.py):
 #   point_predictive_mp(0.9, 1e-3, 1e3, 1e4)        = 0.9607503448749972381
@@ -64,6 +68,22 @@ WC_099_1E6_1E9 = 0.9900780870626874
 DISCRETE_TWO_ATOM = 0.9697420238157776
 
 
+def complement_tolerance(prior, r):
+    """The first-order bound derived in inference._complement's docstring: its
+    relative part, and its absolute part for terms that underflow."""
+    eps = 2.0**-53
+    log_a = math.log(prior.p_nf)
+    terms = [(log_a, 2 * eps * abs(log_a))]  # (L_j, bound on its error d_j)
+    for q, w in prior.atoms:
+        rx = -r * math.log1p(-q) if q < 1.0 else math.inf if r else 0.0
+        terms.append((math.log(w) - rx, eps * (3 * abs(math.log(w)) + 5 * rx)))
+    m, d_m = max(terms)
+    relative = 10 * eps + 2 * max(d + d_m + eps * (m - L + 2) for L, d in terms if m - L < 745)
+    largest_log_w = max(abs(math.log(w)) for _, w in prior.atoms)
+    assert relative <= eps * (32 * largest_log_w + 20 * abs(log_a) + 16404)
+    return relative, 2 * len(prior.atoms) * 2.0**-1074
+
+
 def stationarity_residual(p_nf, q, r, n) -> float:
     """Relative residual of a*(r+n)*u**n + b*n*u**(r+n) - a*r at u = 1 - q."""
     a = mp.mpf(p_nf)
@@ -71,85 +91,6 @@ def stationarity_residual(p_nf, q, r, n) -> float:
     u = 1 - mp.mpf(q)
     lhs = a * (r + n) * mp.power(u, n) + b * n * mp.power(u, r + n)
     return float(abs(lhs - a * r) / (a * r))
-
-
-class TestPointPredictive:
-    def test_zero_failure_rate_survives_everything(self):
-        assert predictive_given_point_prior(0.5, 0.0, 10, 10**6) == 1.0
-
-    def test_surviving_certain_failure_forces_fault_free_branch(self):
-        assert predictive_given_point_prior(0.5, 1.0, 1, 10**6) == 1.0
-
-    def test_known_value(self):
-        value = predictive_given_point_prior(0.9, 1e-3, 10**3, 10**4)
-        assert value == pytest.approx(POINT_PRED_VALUE, abs=1e-14)
-        assert value == pytest.approx(
-            float(point_predictive_mp(0.9, 1e-3, 10**3, 10**4)), abs=1e-14
-        )
-        assert type(value) is Probability
-
-    def test_degenerate_conditioning_raises(self):
-        with pytest.raises(DegenerateConditioningError):
-            predictive_given_point_prior(0.0, 1.0, 5, 3)
-
-    def test_no_future_demands(self):
-        assert predictive_given_point_prior(0.0, 1.0, 5, 0) == 1.0
-
-    @given(
-        st.floats(min_value=0.0, max_value=1.0),
-        st.floats(min_value=1e-12, max_value=1.0),
-        st.integers(min_value=0, max_value=10**6),
-        st.integers(min_value=0, max_value=10**6),
-    )
-    @example(0.0, 1.0, 5, 3)
-    @example(0.0, 1.0, 5, 0)
-    def test_matches_single_atom_discrete(self, p_nf, q, r, n):
-        if p_nf == 1.0:
-            prior = DiscretePrior(p_nf=1.0, atoms=())
-        else:
-            prior = DiscretePrior(p_nf=p_nf, atoms=((q, 1.0 - p_nf),))
-
-        def or_degenerate(predictive):
-            try:
-                return predictive()
-            except DegenerateConditioningError:
-                return None
-
-        point = or_degenerate(lambda: predictive_given_point_prior(p_nf, q, r, n))
-        exact = or_degenerate(lambda: posterior_predictive_discrete(prior, r, n))
-        if n >= 1:  # with nothing to predict the point form returns 1 regardless
-            assert (point is None) == (exact is None)
-        if point is not None and exact is not None:
-            assert abs(point - exact) <= 1e-12
-
-    @given(
-        st.floats(min_value=0.01, max_value=0.99),
-        st.floats(min_value=1e-9, max_value=0.999),
-        st.integers(min_value=0, max_value=10**4),
-        st.integers(min_value=0, max_value=10**4),
-    )
-    @settings(max_examples=50)
-    def test_matches_high_precision_reference(self, p_nf, q, r, n):
-        value = predictive_given_point_prior(p_nf, q, r, n)
-        assert value == pytest.approx(float(point_predictive_mp(p_nf, q, r, n)), abs=1e-12)
-
-    # q ranges over the same two log-uniform tails as p_nf.
-    @given(extreme_p_nf, extreme_p_nf, extreme_counts, extreme_counts)
-    @example(5.8e-248, 7.3e-8, 7_700_000_000, 23067)
-    @example(2.1573283432004632e-157, 0.9998465990802559, 41, 553)  # t near 0: r*x weighs most
-    @settings(max_examples=60, deadline=None)
-    def test_extreme_domain_within_derived_error(self, p_nf, q, r, n):
-        # The first-order bound derived in predictive_given_point_prior's docstring.
-        log_a, log_b = math.log(p_nf), math.log1p(-p_nf)
-        w = -r * math.log1p(-q)
-        t = log_b - log_a - w
-        sigmoid_slope = math.exp(-abs(t)) / (1.0 + math.exp(-abs(t))) ** 2
-        tol = 2.0**-53 * (12 + sigmoid_slope * (
-            2 * abs(log_a) + 2 * abs(log_b) + abs(log_b - log_a) + 3 * w + abs(t)))
-        assert tol <= 2.0**-53 * (1.5 * abs(log_a) + 0.75 * abs(log_b) + 14)
-        value = predictive_given_point_prior(p_nf, q, r, n)
-        exact = point_predictive_mp(p_nf, q, r, n)
-        assert abs(mp.mpf(value) - exact) <= tol, (p_nf, q, r, n, value, exact)
 
 
 class TestWorstCase:
@@ -403,10 +344,53 @@ class TestDiscretePrior:
         )
         assert value >= worst_case_survival(0.9, 10**3, 10**4).lower_bound
 
+    def test_known_one_atom_value(self):
+        prior = DiscretePrior(0.9, ((1e-3, 1.0 - 0.9),))
+        value = posterior_predictive_discrete(prior, 10**3, 10**4)
+        assert value == pytest.approx(POINT_PRED_VALUE, abs=1e-14)
+        assert value == pytest.approx(
+            float(point_predictive_mp(0.9, 1e-3, 10**3, 10**4)), abs=1e-14
+        )
+        assert type(value) is Probability
+
     def test_degenerate_conditioning_raises(self):
         prior = DiscretePrior(p_nf=0.0, atoms=((1.0, 1.0),))
-        with pytest.raises(DegenerateConditioningError):
-            posterior_predictive_discrete(prior, 1, 1)
+        for r, n in [(1, 1), (5, 3), (5, 0)]:
+            with pytest.raises(DegenerateConditioningError):
+                posterior_predictive_discrete(prior, r, n)
+
+    def test_rejects_invalid_counts(self):
+        prior = DiscretePrior(0.5, ((0.1, 0.5),))
+        with pytest.raises(TypeError, match="r must be an integer"):
+            posterior_predictive_discrete(prior, True, 1)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            posterior_predictive_discrete(prior, 1, -1)
+        with pytest.raises(ValueError, match=r"n must be < 2\*\*1022"):
+            posterior_predictive_discrete(prior, 1, 2**1022)
+
+    def test_certain_failure_atom(self):
+        prior = DiscretePrior(0.5, ((1.0, 0.5),))
+        # Surviving one demand rules the atom out; u**0 = 1 keeps it when r = 0.
+        assert posterior_predictive_discrete(prior, 1, 10**6) == 1.0
+        assert posterior_predictive_discrete(prior, 5, 0) == 1.0
+        assert posterior_predictive_discrete(prior, 0, 3) == 0.5
+
+    @given(extreme_p_nf, raw_atoms, counts, counts)
+    @example(5.8e-248, [(7.3e-8, 1.0)], 7_700_000_000, 23067)
+    @example(2.1573283432004632e-157, [(0.9998465990802559, 1.0)], 41, 553)
+    @example(0.5, [(0.5, 1.0)], 1070, 1)  # c = 4e-323 is subnormal
+    @settings(max_examples=60, deadline=None)
+    def test_complement_within_derived_error(self, p_nf, raw, r, n):
+        total = math.fsum(w for _, w in raw)
+        prior = DiscretePrior(p_nf, tuple((q, w / total * (1.0 - p_nf)) for q, w in raw))
+        relative, absolute = complement_tolerance(prior, r)
+        exact = discrete_complement_mp(p_nf, prior.atoms, r, n)
+        value = posterior_predictive_discrete(prior, r, n)
+        assert abs(1 - mp.mpf(value) - exact) <= relative * exact + absolute + 2.0**-54, (
+            p_nf, prior.atoms, r, n, value, exact)
+        c = inference._complement(prior, r, n)
+        assert abs(mp.mpf(c) - exact) <= relative * exact + absolute, (
+            p_nf, prior.atoms, r, n, c, exact)
 
     def test_dominance_over_randomized_priors(self):
         rng = np.random.default_rng(2024)

@@ -8,11 +8,10 @@ EXPORTED = {
     # fleet
     "BootstrapTrace", "ConstantGrowth", "FeasibilityVerdict", "FleetGrowthModel",
     "FleetScenario", "LinearGrowth", "LogisticGrowth", "WindowRecord",
-    "check_feasibility", "demands_in_window", "run_bootstrap",
+    "check_feasibility", "run_bootstrap",
     # inference
     "DegenerateConditioningError", "DiscretePrior", "SurvivalPrediction", "grid_worst_case",
-    "posterior_predictive_discrete", "predictive_given_point_prior", "sweep",
-    "worst_case_survival",
+    "posterior_predictive_discrete", "sweep", "worst_case_survival",
     # reliability
     "InfeasibleScaleError", "MixtureModel", "MonteCarloEstimate", "Probability",
     "check_demand_count", "monte_carlo_survival", "pfd", "survival_probability",

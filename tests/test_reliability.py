@@ -36,12 +36,6 @@ class TestProbability:
     def test_negative_zero_is_normalised(self):
         assert math.copysign(1.0, Probability(-0.0)) == 1.0
 
-    def test_log_views(self):
-        assert Probability(0.0).log == -math.inf
-        assert Probability(1.0).log == 0.0
-        assert Probability(1.0).log_complement == -math.inf
-        assert Probability(0.5).log == pytest.approx(math.log(0.5))
-
 
 class TestDemandCount:
     def test_accepts_counts_below_the_cap(self):
@@ -81,6 +75,10 @@ class TestSurvivalProbability:
 
     def test_certain_fault_freeness_dominates(self):
         assert survival_probability(MixtureModel(1.0, 0.5), 10**9) == 1.0
+
+    def test_exact_at_the_corners(self):
+        assert survival_probability(MixtureModel(0.25, 1.0), 3) == 0.25
+        assert survival_probability(MixtureModel(0.25, 0.0), 10**12) == 1.0
 
     def test_known_value(self):
         value = survival_probability(MixtureModel(0.9, 0.01), 100)
