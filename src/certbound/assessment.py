@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .reliability import Probability
+from .reliability import Probability, _check_positive_count
 
 __all__ = [
     "ObjectiveGroupAssessment",
@@ -52,8 +52,7 @@ class ObjectiveGroupAssessment:
     def __post_init__(self) -> None:
         if not self.group_id:
             raise ValueError("group_id must be non-empty")
-        if self.objective_count < 1:
-            raise ValueError(f"objective_count must be >= 1, got {self.objective_count}")
+        _check_positive_count(self.objective_count, "objective_count")
         object.__setattr__(self, "p_no_fault", Probability(self.p_no_fault))
 
 

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .assessment import aggregate_fault_freeness
 from .fleet import BootstrapTrace, check_feasibility, run_bootstrap
 from .inference import posterior_predictive_discrete, sweep, worst_case_survival
-from .reliability import monte_carlo_survival, survival_probability
+from .reliability import check_demand_count, monte_carlo_survival, survival_probability
 from .scenario import (
     ScenarioFile,
     ScenarioIOError,
@@ -96,6 +96,11 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 def cmd_predict(args: argparse.Namespace) -> int:
     scenario = _resolve(args)
     p_nf, r = float(scenario.model.p_nf), scenario.evidence.r
+    if scenario.prior is not None and scenario.prior.p_nf != p_nf:
+        raise ScenarioValidationError(
+            f"prior.p_nf ({float(scenario.prior.p_nf)!r}) must equal model.p_nf ({p_nf!r}): "
+            "the bound holds only for priors with the assessed fault-free mass"
+        )
 
     lines = []
     for n in scenario.query.values():
@@ -121,8 +126,7 @@ def cmd_survival(args: argparse.Namespace) -> int:
     scenario = _resolve(args)
     model = scenario.model.mixture()
     for flag, value in (("--mc-trials", args.mc_trials), ("--seed", args.seed)):
-        if value < 0:
-            raise ValueError(f"{flag} must be >= 0, got {value}")
+        check_demand_count(value, flag)
 
     lines = []
     for n in scenario.query.values():

@@ -19,7 +19,7 @@ from itertools import accumulate
 from typing import Optional, Union
 
 from .inference import SurvivalPrediction, _pair_terms, _row
-from .reliability import Probability, check_demand_count
+from .reliability import Probability, _check_positive_count, _count_text, check_demand_count
 
 __all__ = [
     "ConstantGrowth",
@@ -35,12 +35,6 @@ __all__ = [
 ]
 
 
-def _check_initial_fleet(size: int) -> None:
-    if size < 1:
-        raise ValueError(f"initial_fleet must be >= 1, got {size}")
-    check_demand_count(size, "initial_fleet")
-
-
 @dataclass(frozen=True)
 class ConstantGrowth:
     """Fixed fleet size in every window."""
@@ -50,7 +44,7 @@ class ConstantGrowth:
     kind = "constant"
 
     def __post_init__(self) -> None:
-        _check_initial_fleet(self.initial_fleet)
+        _check_positive_count(self.initial_fleet, "initial_fleet")
 
     def fleet_size(self, window_index: int) -> int:
         return self.initial_fleet
@@ -66,7 +60,7 @@ class LinearGrowth:
     kind = "linear"
 
     def __post_init__(self) -> None:
-        _check_initial_fleet(self.initial_fleet)
+        _check_positive_count(self.initial_fleet, "initial_fleet")
         check_demand_count(self.added_per_window, "added_per_window")
 
     def fleet_size(self, window_index: int) -> int:
@@ -84,15 +78,15 @@ class LogisticGrowth:
     kind = "logistic"
 
     def __post_init__(self) -> None:
-        _check_initial_fleet(self.initial_fleet)
+        _check_positive_count(self.initial_fleet, "initial_fleet")
         if not (math.isfinite(self.growth_rate) and self.growth_rate >= 0.0):
             raise ValueError(f"growth_rate must be finite and >= 0, got {self.growth_rate}")
+        check_demand_count(self.carrying_capacity, "carrying_capacity")
         if self.carrying_capacity < self.initial_fleet:
             raise ValueError(
-                f"carrying_capacity {self.carrying_capacity} below "
-                f"initial_fleet {self.initial_fleet}"
+                f"carrying_capacity {_count_text(self.carrying_capacity)} below "
+                f"initial_fleet {_count_text(self.initial_fleet)}"
             )
-        check_demand_count(self.carrying_capacity, "carrying_capacity")
 
     def fleet_size(self, window_index: int) -> int:
         n0 = self.initial_fleet
@@ -124,12 +118,7 @@ class FleetScenario:
     include_remaining_lifetime: bool = False
 
     def __post_init__(self) -> None:
-        if self.demands_per_aircraft_per_window < 1:
-            raise ValueError(
-                "demands_per_aircraft_per_window must be >= 1, "
-                f"got {self.demands_per_aircraft_per_window}"
-            )
-        check_demand_count(self.demands_per_aircraft_per_window, "demands_per_aircraft_per_window")
+        _check_positive_count(self.demands_per_aircraft_per_window, "demands_per_aircraft_per_window")
         check_demand_count(self.window_count, "window_count")
         check_demand_count(self.initial_evidence, "initial_evidence")
         object.__setattr__(self, "p_nf", Probability(self.p_nf))

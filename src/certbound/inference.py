@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .reliability import Probability, check_demand_count
+from .reliability import Probability, _count_text, check_demand_count
 
 __all__ = [
     "DiscretePrior",
@@ -312,36 +312,44 @@ def _complement(prior: DiscretePrior, r: int, n: int) -> float:
     """c = fsum_i E_i*t_i / fsum_j E_j, where E_j = exp(L_j - m), m = max L, L_0 = log a
     (a = p_nf), L_i = log w_i + r*x_i, x_i = log1p(-q_i) and t_i = -expm1(n*x_i), t_0 = 0.
     All terms are positive, so nothing cancels, and c <= 1 as E_i*t_i <= E_i.  At q_i = 1,
-    r = 0 gives L_i = log w_i and n = 0 gives t_i = 0.
+    r = 0 gives L_i = log w_i and n = 0 gives t_i = 0.  With a = 0 there is no L_0 term,
+    and L_i = log w_i + r*(x_i - x_max), x_max = max x_i, instead: dropping the common
+    r*x_max leaves every E_j as it was, and the atom at x_max keeps L_i = log w_i where
+    r*x_i alone would overflow to -inf.  Only r >= 1 with every q_i = 1 leaves m = -inf.
 
     Error, to first order in eps = 2**-53 (+, *, / and fsum within eps; exp, expm1, log
     and log1p within 2*eps): L_0 is off by |d_0| <= 2*eps*|log a| and L_i by
-    |d_i| <= eps*(3*|log w_i| + 5*r*|x_i|).  An error common to all L cancels, so E_j is
-    off by |p_j| <= |d_j| + |d_m| + eps*(y_j + 2), y_j = m - L_j, relatively.  t_i is
-    within 6*eps (1 - e**v has condition number |v|*e**v/(1 - e**v) <= 1 at v < 0);
-    products, fsums and division add 4*eps.  With N, D the two sums, s_j = E_j*t_j/N
-    and f_j = E_j/D, sum_j |s_j - f_j| <= 2 and log(computed c / c) =
-    sum_j p_j*(s_j - f_j) + 10*eps at most, so
+    |d_i| <= eps*(3*|log w_i| + 5*r*|x_i|); with a = 0, where x_max is one fixed float,
+    by |d_i| <= eps*(3*|log w_i| + 2*r*|x_i| + 4*r*(x_max - x_i)).  An error common to all
+    L cancels, so E_j is off by |p_j| <= |d_j| + |d_m| + eps*(y_j + 2), y_j = m - L_j,
+    relatively.  t_i is within 6*eps (1 - e**v has condition number
+    |v|*e**v/(1 - e**v) <= 1 at v < 0); products, fsums and division add 4*eps.  With
+    N, D the two sums, s_j = E_j*t_j/N and f_j = E_j/D, sum_j |s_j - f_j| <= 2 and
+    log(computed c / c) = sum_j p_j*(s_j - f_j) + 10*eps at most, so
 
         |computed c / c - 1| <= 10*eps + 2*max_j (|d_j| + |d_m| + eps*(y_j + 2))
 
     over the terms with y_j < 745; the rest underflow to 0 and, with subnormal roundings,
     add at most 2*K*2**-1074 absolute over K atoms.  As m >= log a, such a term has
-    r*|x_i| <= |log w_i| + |log a| + 745, so the bound is at most
+    r*|x_i| <= |log w_i| + |log a| + 745, so for a > 0 the bound is at most
     eps*(32*max|log w_i| + 20*|log a| + 16404): 5.8e-12 at a, w_i >= 1e-300.
 
     Raises:
         DegenerateConditioningError: if every term is 0 (m = -inf).
     """
     a = float(prior.p_nf)
+    xs = [math.log1p(-q) if q < 1.0 else -math.inf for q, _ in prior.atoms]
+    # x - 0.0 == x, so every term with a > 0, or with every q_i = 1, is as without the shift.
+    x_max = max(xs) if a == 0.0 and max(xs) > -math.inf else 0.0
     logs, tails = [math.log(a) if a > 0.0 else -math.inf], [0.0]
-    for q, w in prior.atoms:
-        x = math.log1p(-q) if q < 1.0 else -math.inf
-        logs.append(math.log(w) + (r * x if r else 0.0))
+    for x, (_, w) in zip(xs, prior.atoms):
+        logs.append(math.log(w) + (r * (x - x_max) if r else 0.0))
         tails.append(-math.expm1(n * x) if n else 0.0)
     m = max(logs)
     if m == -math.inf:
-        raise DegenerateConditioningError(f"prior assigns probability 0 to surviving r={r} demands")
+        raise DegenerateConditioningError(
+            f"prior assigns probability 0 to the r = {_count_text(r)} observed demands"
+        )
     weights = [math.exp(v - m) for v in logs]
     return math.fsum(e * t for e, t in zip(weights, tails)) / math.fsum(weights)
 

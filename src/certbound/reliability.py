@@ -61,6 +61,13 @@ class Probability(float):
         return f"Probability({float(self)!r})"
 
 
+def _count_text(n: int) -> str:
+    """n for a message: whole up to 20 digits, else by its bit length."""
+    if abs(n) < 10**20:
+        return str(n)
+    return f"a {'negative ' if n < 0 else ''}{n.bit_length()}-bit integer"
+
+
 def check_demand_count(value: int, name: str = "count") -> int:
     """Validate a demand count: an integer in [0, 2**1022), so r + n converts to a float."""
     if isinstance(value, bool):  # an int subclass, but never a count
@@ -70,10 +77,16 @@ def check_demand_count(value: int, name: str = "count") -> int:
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if n < 0:
-        raise ValueError(f"{name} must be >= 0, got {n}")
-    if n >= _COUNT_CAP:  # too long to print whole past 4,300 digits
-        raise ValueError(f"{name} must be < 2**1022, got a {n.bit_length()}-bit integer")
+        raise ValueError(f"{name} must be >= 0, got {_count_text(n)}")
+    if n >= _COUNT_CAP:
+        raise ValueError(f"{name} must be < 2**1022, got {_count_text(n)}")
     return n
+
+
+def _check_positive_count(value: int, name: str) -> None:
+    """check_demand_count, for a count that must also be at least 1."""
+    if check_demand_count(value, name) < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -147,12 +160,10 @@ def monte_carlo_survival(
             geometric draws saturate and can no longer exceed n.
     """
     n = check_demand_count(n, "n")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    check_demand_count(trials, "trials")  # after the range test, so -5 reads ">= 1"
+    _check_positive_count(trials, "trials")
     if n >= _GEOMETRIC_CAP:
         raise InfeasibleScaleError(
-            f"n = {n} is not below 2**63 - 1, where geometric draws saturate"
+            f"n must be < 2**63 - 1, where geometric draws saturate, got {_count_text(n)}"
         )
 
     rng = np.random.default_rng(seed)

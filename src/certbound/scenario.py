@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional, get_args
 
 import yaml
 
-from .assessment import ObjectiveGroupAssessment
+from .assessment import AggregationMode, ObjectiveGroupAssessment
 from .fleet import (
     ConstantGrowth,
     FleetScenario,
@@ -105,7 +105,7 @@ class Query:
 
 @dataclass(frozen=True)
 class AssessmentSpec:
-    mode: str
+    mode: AggregationMode
     groups: tuple[ObjectiveGroupAssessment, ...]
 
 
@@ -137,8 +137,6 @@ def _build(build: Callable, value: Any, path: str) -> Any:
     """``build(value)``, with a ValueError or OverflowError it raises reported at ``path``."""
     try:
         return build(value)
-    except ScenarioError:
-        raise
     except (ValueError, OverflowError) as exc:
         raise _fail(path, str(exc)) from None
 
@@ -229,23 +227,21 @@ def _tagged(variants: dict[str, _Kind]) -> _Kind:
 
 
 _NUMBER = _scalar("a number", (int, float), float, float)
-_INT = _scalar("an integer", (int,), dump=int)
 _COUNT = _scalar("an integer", (int,), check_demand_count, int)
 _PROBABILITY = _scalar("a number", (int, float), lambda v: Probability(float(v)), float)
 _STR = _scalar("a string", (str,))
 _BOOL = _scalar("a boolean", (bool,))
 
 _GROWTH = _tagged({
-    "constant": _variant(ConstantGrowth, {"initial_fleet": _INT}),
-    "linear": _variant(LinearGrowth, {"initial_fleet": _INT, "added_per_window": _INT}),
-    "logistic": _variant(
-        LogisticGrowth, {"initial_fleet": _INT, "growth_rate": _NUMBER, "carrying_capacity": _INT}
-    ),
+    "constant": _variant(ConstantGrowth, {"initial_fleet": _COUNT}),
+    "linear": _variant(LinearGrowth, {"initial_fleet": _COUNT, "added_per_window": _COUNT}),
+    "logistic": _variant(LogisticGrowth, {"initial_fleet": _COUNT, "growth_rate": _NUMBER,
+                                          "carrying_capacity": _COUNT}),
 })
 _ATOM = _record(lambda q, weight: (q, weight), {"q": _NUMBER, "weight": _NUMBER})
 _GROUP = _record(
     ObjectiveGroupAssessment,
-    {"group_id": _STR, "objective_count": _INT, "p_no_fault": _PROBABILITY},
+    {"group_id": _STR, "objective_count": _COUNT, "p_no_fault": _PROBABILITY},
 )
 
 _SECTIONS: dict[str, _Kind] = {
@@ -255,13 +251,13 @@ _SECTIONS: dict[str, _Kind] = {
     "query": _record(Query, {"n": _COUNT, "n_grid": _list(_COUNT)}, optional={"n", "n_grid"}),
     "prior": _record(DiscretePrior, {"p_nf": _PROBABILITY, "atoms": _list(_ATOM)}),
     "assessment": _record(
-        AssessmentSpec, {"mode": _choice("conservative", "independent"), "groups": _list(_GROUP)}
+        AssessmentSpec, {"mode": _choice(*get_args(AggregationMode)), "groups": _list(_GROUP)}
     ),
     "bootstrap": _record(
         FleetScenario,
         {
             "growth": _GROWTH,
-            "demands_per_aircraft_per_window": _INT,
+            "demands_per_aircraft_per_window": _COUNT,
             "window_count": _COUNT,
             "p_nf": _PROBABILITY,
             "initial_evidence": _COUNT,

@@ -112,13 +112,18 @@ def stationarity_root_log1m_mp(p_nf, r, n, iterations=300):
     """x = log(1 - q) at the interior root of a*(r+n)*u**n + b*n*u**(r+n) = a*r, u = 1 - q.
 
     Bisection in x = log u on the undivided equation; the left side
-    increases with x and exceeds a*r at x = log(r / (r + n)) / n.
+    increases with x and exceeds a*r at hi = -log1p(n/r)/n < 0.  The bracket
+    starts at [2*hi, hi] and doubles leftwards until it holds the root, so
+    its width is a small multiple of |x| and the bisection's resolution is
+    relative, even where x is far below 1e-60.  The equation cancels about
+    log10(r/n) digits, so for counts past 10**12 callers raise the working
+    precision (``mp.workdps``) by log10 of the larger count.
     """
     a = mp.mpf(p_nf)
     b = 1 - a
     F = lambda x: a * (r + n) * mp.exp(n * x) + b * n * mp.exp((r + n) * x) - a * r
-    hi = mp.log(mp.mpf(r) / (r + n)) / n
-    lo = hi - 1
+    hi = -mp.log1p(mp.mpf(n) / r) / n
+    lo = 2 * hi
     while F(lo) > 0:
         lo = hi - 2 * (hi - lo)
     for _ in range(iterations):

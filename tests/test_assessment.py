@@ -31,6 +31,8 @@ class TestLevelPreset:
     def test_unknown_level(self):
         with pytest.raises(UnknownLevelError):
             level_preset("E")
+        with pytest.raises(UnknownLevelError):
+            AssuranceLevel(level="E", total_objectives=71)
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -107,3 +109,8 @@ class TestAggregate:
             ObjectiveGroupAssessment(group_id="g", objective_count=0, p_no_fault=0.5)
         with pytest.raises(ValueError):
             ObjectiveGroupAssessment(group_id="g", objective_count=1, p_no_fault=1.5)
+
+    @pytest.mark.parametrize("count", [True, 2.5], ids=["bool", "fraction"])
+    def test_group_objective_count_must_be_an_integer(self, count):
+        with pytest.raises(TypeError, match="objective_count must be an integer"):
+            ObjectiveGroupAssessment(group_id="g", objective_count=count, p_no_fault=0.9)

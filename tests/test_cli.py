@@ -100,6 +100,23 @@ class TestPredict:
         assert captured.out == ""
         assert "prior assigns probability 0" in captured.err
 
+    def test_prior_with_another_p_nf_prints_nothing(self, capsys, tmp_path):
+        # The bound covers priors with mass model.p_nf on fault-freeness; this
+        # one's predictive (0.830) lies below it (0.974).
+        path = tmp_path / "mismatch.yaml"
+        path.write_text(
+            "model: {p_nf: 0.9}\n"
+            "evidence: {r: 1000}\n"
+            "query: {n: 1000}\n"
+            "prior: {p_nf: 0.5, atoms: [{q: 0.001, weight: 0.5}]}\n",
+            encoding="utf-8",
+        )
+        code = main(["predict", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "prior.p_nf" in captured.err and "model.p_nf" in captured.err
+
 
 class TestInputResolution:
     @pytest.mark.parametrize(
@@ -333,6 +350,38 @@ class TestExitCodes:
         assert code == 4
         assert captured.out == ""
         assert captured.err.startswith(f"error: {key}: ")
+
+    # Counts near the 2**1022 cap in rejected inputs print by bit length, not in full.
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["predict"], "model: {p_nf: 0}\nevidence: {r: HUGE}\nquery: {n: 1}\n"
+             "prior: {p_nf: 0, atoms: [{q: 1.0, weight: 1.0}]}\n"),
+            (["predict"], "model: {p_nf: 0.5}\nevidence: {r: -HUGE}\nquery: {n: 1}\n"),
+            (["bootstrap"], "bootstrap:\n"
+             "  growth: {kind: logistic, initial_fleet: HUGE, growth_rate: 0.1,"
+             " carrying_capacity: 1}\n"
+             "  demands_per_aircraft_per_window: 1\n  window_count: 1\n  p_nf: 0.9\n"
+             "  initial_evidence: 0\n  confidence_threshold: 0.5\n"),
+            (["survival", "--mc-trials", "1"],
+             "model: {p_nf: 0.5, p_f_given_faulty: 0.5}\nquery: {n: HUGE}\n"),
+            (["survival", "--mc-trials=-HUGE"],
+             "model: {p_nf: 0.5, p_f_given_faulty: 0.5}\nquery: {n: 1}\n"),
+        ],
+        ids=["degenerate-prior", "negative-count", "capacity-below-fleet", "monte-carlo-n",
+             "negative-trials"],
+    )
+    def test_huge_count_messages_stay_short(self, capsys, tmp_path, argv, text):
+        huge = str(2**1022 - 1)
+        path = tmp_path / "huge.yaml"
+        path.write_text(text.replace("HUGE", huge), encoding="utf-8")
+        flags = [arg.replace("HUGE", huge) for arg in argv[1:]]
+        code = main([argv[0], "--scenario", str(path), *flags])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "1022-bit integer" in captured.err
+        assert max(len(line) for line in captured.err.splitlines()) <= 200
 
     def test_validation_error(self, capsys, tmp_path):
         path = tmp_path / "invalid.yaml"

@@ -89,6 +89,9 @@ class TestGrowthModels:
             LinearGrowth(initial_fleet=1, added_per_window=-1)
         with pytest.raises(ValueError):
             LogisticGrowth(initial_fleet=10, growth_rate=0.1, carrying_capacity=9)
+        for rate in (math.nan, -0.1, math.inf):
+            with pytest.raises(ValueError, match="growth_rate must be finite and >= 0"):
+                LogisticGrowth(initial_fleet=1, growth_rate=rate, carrying_capacity=5)
 
     @pytest.mark.parametrize(
         "make",
@@ -222,6 +225,10 @@ class TestRunBootstrap:
     def test_negative_initial_evidence_raises(self):
         with pytest.raises(ValueError, match="initial_evidence"):
             constant_scenario(initial_evidence=-1)
+
+    def test_zero_demand_rate_raises(self):
+        with pytest.raises(ValueError, match="demands_per_aircraft_per_window must be >= 1, got 0"):
+            constant_scenario(demands_per_aircraft_per_window=0)
 
     def test_fractional_demand_rate_raises(self):
         with pytest.raises(TypeError, match="demands_per_aircraft_per_window"):

@@ -50,6 +50,8 @@ grid_p_nf = st.lists(
 )
 counts = st.one_of(extreme_counts, st.just(0))
 grid_counts = st.lists(counts, min_size=1, max_size=3)
+# Past the README domain: r and n log-uniform up to 2**1021, just inside the 2**1022 cap.
+huge_counts = st.floats(min_value=0.0, max_value=1021.0).map(lambda e: int(round(2.0**e)))
 # Discrete priors of 1-5 atoms: q and a raw weight each log-uniform over [1e-12, 1].
 log_uniform_unit = st.floats(min_value=-12.0, max_value=0.0).map(lambda e: 10.0**e)
 raw_atoms = st.lists(st.tuples(log_uniform_unit, log_uniform_unit), min_size=1, max_size=5)
@@ -82,6 +84,35 @@ def complement_tolerance(prior, r):
     largest_log_w = max(abs(math.log(w)) for _, w in prior.atoms)
     assert relative <= eps * (32 * largest_log_w + 20 * abs(log_a) + 16404)
     return relative, 2 * len(prior.atoms) * 2.0**-1074
+
+
+def huge_count_digits(r, n) -> int:
+    """Working digits for the mpmath oracles at counts up to 2**1021: the root's
+    equation cancels about log10(r/n) digits, so 60 are not enough past 10**60."""
+    return 60 + int(math.log10(max(r, n)))
+
+
+def root_tolerance(p_nf, r, n, x) -> float:
+    """First-order bound on _stationarity_root's relative error at the root x, with
+    eps = 2**-53 (exp, log, log1p within 2*eps).  t1 = c1 + n*x is off by at most
+    eps*(3*c1 + 2*n*|x| + |t1|) and t2 = c2 + s*x (s = r + n) by k2 + eps*(2*s*|x| + |t2|),
+    k2 the roundings of c2 = log1p(-a) - log a + log n - log r.  F = log(e**t1 + e**t2)
+    adds at most eps*(min(A, B)*(|t2 - t1| + 2) + 2*min(|t1|, |t2|)), A = e**t1,
+    B = e**t2, A + B = 1.  Over F' = n*A + s*B that moves the root, and the last step
+    rounds twice.  Over 1,500 random cells it stayed below 33*eps with counts up to 10**12
+    and reached 890*eps with counts up to 2**1021, as c2's absolute error grows with log r."""
+    eps = 2.0**-53
+    a, log_n, log_r = p_nf, math.log(n), math.log(r)
+    c1, d, s = math.log1p(n / r), math.log1p(-a) - math.log(a), r + n
+    c2 = d + log_n - log_r
+    t1, t2 = c1 + n * x, c2 + s * x
+    A, B = math.exp(t1), math.exp(t2)
+    k2 = eps * (2 * abs(math.log1p(-a)) + 2 * abs(math.log(a)) + abs(d) + 2 * log_n
+                + abs(d + log_n) + 2 * log_r + abs(c2))
+    e1 = eps * (3 * c1 + 2 * n * abs(x) + abs(t1))
+    e2 = k2 + eps * (2 * s * abs(x) + abs(t2))
+    e3 = eps * (min(A, B) * (abs(t2 - t1) + 2) + 2 * min(abs(t1), abs(t2)))
+    return 2 * eps + (A * e1 + B * e2 + e3) / ((n * A + s * B) * abs(x))
 
 
 def stationarity_residual(p_nf, q, r, n) -> float:
@@ -220,6 +251,36 @@ class TestWorstCase:
         bound = worst_case_survival(p_nf, r, n).lower_bound
         assert abs(mp.mpf(bound) - exact) <= tol, (p_nf, r, n, bound, exact)
 
+    @given(extreme_p_nf, huge_counts, huge_counts)
+    @example(1e-300, 2**1021, 1)
+    @example(0.5, 1, 2**1021)
+    @example(1.0 - 1e-15, 2**1021, 2**1021)
+    @example(0.1, int(round(2.0**584.125)), 1)  # 1.2e-14: past 1e-14, within tolerance
+    @settings(max_examples=30, deadline=None)
+    def test_stationarity_root_to_the_count_cap(self, p_nf, r, n):
+        _, _, c1, log_n, log_r, n_f, s_f, m = inference._pair_terms(r, n)
+        d = math.log1p(-p_nf) - math.log(p_nf)
+        x = inference._stationarity_root(c1, d + log_n - log_r, n_f, s_f, d + m)
+        with mp.workdps(huge_count_digits(r, n)):
+            expected = stationarity_root_log1m_mp(p_nf, r, n, iterations=200)
+            error = float(abs(x - expected) / abs(expected))
+        tol = root_tolerance(p_nf, r, n, float(expected))
+        assert error <= tol, (p_nf, r, n, x, expected, tol)
+
+    @given(extreme_p_nf, huge_counts, huge_counts)
+    @example(1e-300, 2**1021, 1)
+    @example(1.0 - 1e-15, 1, 2**1021)
+    @example(0.5, 2**1021, 2**1021)
+    @settings(max_examples=30, deadline=None)
+    def test_bound_within_derived_error_to_the_count_cap(self, p_nf, r, n):
+        # _row's derived bound, which grows to 2.4e-13 at r = 1, n = 2**1021.
+        tol = 2.0**-53 * (2 * math.log1p(n / r) + math.log(n) + math.log(r) + 18)
+        bound = worst_case_survival(p_nf, r, n).lower_bound
+        with mp.workdps(huge_count_digits(r, n)):
+            x = stationarity_root_log1m_mp(p_nf, r, n)
+            exact = point_predictive_log1m_mp(p_nf, x, r, n)
+            assert abs(mp.mpf(bound) - exact) <= tol, (p_nf, r, n, bound, exact)
+
     def test_stationarity_root_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(inference, "_NEWTON_STEP_CAP", 1)
         with pytest.raises(ArithmeticError):
@@ -303,6 +364,11 @@ class TestGridOracle:
         oracle = grid_worst_case(0.9, 10**3, 10**4, 10**6)
         assert float(oracle.lower_bound) == pytest.approx(float(value), abs=1e-9)
 
+    def test_no_future_demands_is_certain(self):
+        # Without the n = 0 return, 0 * log(1 - q) at q = 1 would put a NaN before argmin.
+        pred = grid_worst_case(0.0, 5, 0, 10)
+        assert (pred.lower_bound, pred.worst_case_q) == (1.0, 0.0)
+
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             grid_worst_case(0.9, 1, 1, 1)
@@ -325,6 +391,11 @@ class TestDiscretePrior:
     def test_requires_positive_atom_locations(self):
         with pytest.raises(ValueError):
             DiscretePrior(p_nf=0.5, atoms=((0.0, 0.5),))
+
+    @pytest.mark.parametrize("weight", [0.0, -0.5, math.nan, math.inf])
+    def test_requires_positive_finite_atom_weights(self, weight):
+        with pytest.raises(ValueError, match="atom weight must be positive and finite"):
+            DiscretePrior(p_nf=0.5, atoms=((0.5, weight),))
 
     def test_requires_atoms_unless_certain(self):
         with pytest.raises(ValueError):
@@ -355,9 +426,21 @@ class TestDiscretePrior:
 
     def test_degenerate_conditioning_raises(self):
         prior = DiscretePrior(p_nf=0.0, atoms=((1.0, 1.0),))
-        for r, n in [(1, 1), (5, 3), (5, 0)]:
+        for r, n in [(1, 1), (5, 3), (5, 0), (2**1021, 1)]:
             with pytest.raises(DegenerateConditioningError):
                 posterior_predictive_discrete(prior, r, n)
+
+    def test_zero_p_nf_with_evidence_past_float_range(self):
+        # With p_nf = 0 only the atoms' weight ratios count.  At r = 2**1021,
+        # r*log1p(-q) overflows to -inf at q = 1 - 2**-53, yet a lone atom there
+        # keeps all the posterior weight, so the predictive is (1 - q)**1.
+        u = 2.0**-53
+        prior = DiscretePrior(0.0, ((1.0 - u, 1.0),))
+        for r in (2**1010, 2**1021):
+            assert posterior_predictive_discrete(prior, r, 1) == u
+        # Beside an atom at q = 0.5 the overflowing atom and the q = 1 one weigh nothing.
+        prior = DiscretePrior(0.0, ((1.0 - u, 0.25), (0.5, 0.5), (1.0, 0.25)))
+        assert posterior_predictive_discrete(prior, 2**1021, 3) == 0.5**3
 
     def test_rejects_invalid_counts(self):
         prior = DiscretePrior(0.5, ((0.1, 0.5),))

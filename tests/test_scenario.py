@@ -5,6 +5,7 @@ import pytest
 from certbound.fleet import ConstantGrowth, LinearGrowth, LogisticGrowth
 from certbound.scenario import (
     Query,
+    ScenarioFile,
     ScenarioIOError,
     ScenarioSyntaxError,
     ScenarioValidationError,
@@ -65,6 +66,27 @@ def test_out_of_range_probability_names_key(tmp_path):
 def test_count_out_of_range_names_key(tmp_path, r):
     with pytest.raises(ScenarioValidationError, match=r"evidence\.r: count must be"):
         parse_scenario(write(tmp_path, f"evidence:\n  r: {r}\n"))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("- {model: {p_nf: 0.9}}\n", "<root>: expected a mapping of sections"),
+        ("model: [0.9]\n", "model: expected a mapping"),
+        ("query: {n_grid: 5}\n", "query.n_grid: expected a non-empty list"),
+        ("bootstrap:\n  growth: {initial_fleet: 2}\n  demands_per_aircraft_per_window: 10\n"
+         "  window_count: 2\n  p_nf: 0.9\n  initial_evidence: 0\n  confidence_threshold: 0.5\n",
+         r"bootstrap\.growth: missing required keys \['kind'\]"),
+    ],
+    ids=["root-list", "section-list", "n_grid-scalar", "growth-without-kind"],
+)
+def test_malformed_structure_names_key(tmp_path, text, message):
+    with pytest.raises(ScenarioValidationError, match=message):
+        parse_scenario(write(tmp_path, text))
+
+
+def test_empty_file_is_an_empty_scenario(tmp_path):
+    assert parse_scenario(write(tmp_path, "")) == ScenarioFile()
 
 
 def test_unknown_top_level_section_rejected(tmp_path):
