@@ -17,16 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterable, Literal
 
 from .reliability import Probability, _check_positive_count
 
 __all__ = [
     "ObjectiveGroupAssessment",
-    "AssuranceLevel",
-    "UnknownLevelError",
     "ASSURANCE_LEVEL_OBJECTIVES",
-    "level_preset",
     "aggregate_fault_freeness",
 ]
 
@@ -34,10 +31,6 @@ __all__ = [
 ASSURANCE_LEVEL_OBJECTIVES = {"A": 71, "B": 69, "C": 62, "D": 26}
 
 AggregationMode = Literal["conservative", "independent"]
-
-
-class UnknownLevelError(ValueError):
-    """Requested assurance level is not one of A, B, C, D."""
 
 
 @dataclass(frozen=True)
@@ -56,32 +49,8 @@ class ObjectiveGroupAssessment:
         object.__setattr__(self, "p_no_fault", Probability(self.p_no_fault))
 
 
-@dataclass(frozen=True)
-class AssuranceLevel:
-    """A DO-178C software level and its total objective count."""
-
-    level: str
-    total_objectives: int
-
-    def __post_init__(self) -> None:
-        expected = ASSURANCE_LEVEL_OBJECTIVES.get(self.level)
-        if expected is None:
-            raise UnknownLevelError(f"unknown assurance level {self.level!r}")
-        if self.total_objectives != expected:
-            raise ValueError(
-                f"level {self.level} has {expected} objectives, got {self.total_objectives}"
-            )
-
-
-def level_preset(level: str) -> AssuranceLevel:
-    """The assurance level with its objective count: A=71, B=69, C=62, D=26."""
-    if level not in ASSURANCE_LEVEL_OBJECTIVES:
-        raise UnknownLevelError(f"unknown assurance level {level!r}")
-    return AssuranceLevel(level=level, total_objectives=ASSURANCE_LEVEL_OBJECTIVES[level])
-
-
 def aggregate_fault_freeness(
-    groups: Sequence[ObjectiveGroupAssessment],
+    groups: Iterable[ObjectiveGroupAssessment],
     mode: AggregationMode,
 ) -> Probability:
     """Whole-standard probability of fault-freeness from per-group judgments.
@@ -89,6 +58,7 @@ def aggregate_fault_freeness(
     ``conservative`` uses the Frechet lower bound, ``independent`` the plain
     product; the conservative result never exceeds the independent one.
     """
+    groups = tuple(groups)
     if not groups:
         raise ValueError("groups must be non-empty")
     ids = [g.group_id for g in groups]

@@ -14,8 +14,9 @@ or more subcommands:
 One table, ``_SECTIONS``, maps each key of each section to a value kind that
 both loads (checks) and dumps the value, so parsing and serialisation agree
 by construction.  Parsing is strict: unknown keys anywhere are rejected, as
-are values of the wrong type (a typo in a certification input should never
-pass silently).  Validation errors always name the offending key and value.
+are keys written twice and values of the wrong type (a typo in a
+certification input should never pass silently).  Validation errors always
+name the offending key and value.
 """
 
 from __future__ import annotations
@@ -207,23 +208,22 @@ def _record(build: Callable, fields: dict[str, _Kind], optional: set = frozenset
     return _Kind(load, dump)
 
 
-def _variant(cls: type, fields: dict[str, _Kind]) -> _Kind:
-    """A record for one variant of a ``kind``-tagged union.  ``_tagged`` has
-    already checked the ``kind`` key; ``cls`` carries it as a class attribute."""
-    return _record(lambda kind, **kw: cls(**kw), {"kind": _STR, **fields})
-
-
-def _tagged(variants: dict[str, _Kind]) -> _Kind:
-    """A record whose ``kind`` key picks one of ``variants``."""
-    choose = _choice(*variants)
+def _tagged(*variants: tuple[type, dict[str, _Kind]]) -> _Kind:
+    """A record whose ``kind`` key picks one of ``variants``, (class, fields)
+    pairs whose class carries its tag as the class attribute ``kind``."""
+    records = {
+        cls.kind: _record(lambda kind, _cls=cls, **kw: _cls(**kw), {"kind": _STR, **fields})
+        for cls, fields in variants
+    }
+    choose = _choice(*records)
 
     def load(value: Any, path: str) -> Any:
         m = _mapping(value, path)
         if "kind" not in m:
             raise _fail(path, "missing required keys ['kind']")
-        return variants[choose.load(m["kind"], f"{path}.kind")].load(m, path)
+        return records[choose.load(m["kind"], f"{path}.kind")].load(m, path)
 
-    return _Kind(load, lambda obj: variants[obj.kind].dump(obj))
+    return _Kind(load, lambda obj: records[obj.kind].dump(obj))
 
 
 _NUMBER = _scalar("a number", (int, float), float, float)
@@ -232,12 +232,12 @@ _PROBABILITY = _scalar("a number", (int, float), lambda v: Probability(float(v))
 _STR = _scalar("a string", (str,))
 _BOOL = _scalar("a boolean", (bool,))
 
-_GROWTH = _tagged({
-    "constant": _variant(ConstantGrowth, {"initial_fleet": _COUNT}),
-    "linear": _variant(LinearGrowth, {"initial_fleet": _COUNT, "added_per_window": _COUNT}),
-    "logistic": _variant(LogisticGrowth, {"initial_fleet": _COUNT, "growth_rate": _NUMBER,
-                                          "carrying_capacity": _COUNT}),
-})
+_GROWTH = _tagged(
+    (ConstantGrowth, {"initial_fleet": _COUNT}),
+    (LinearGrowth, {"initial_fleet": _COUNT, "added_per_window": _COUNT}),
+    (LogisticGrowth, {"initial_fleet": _COUNT, "growth_rate": _NUMBER,
+                      "carrying_capacity": _COUNT}),
+)
 _ATOM = _record(lambda q, weight: (q, weight), {"q": _NUMBER, "weight": _NUMBER})
 _GROUP = _record(
     ObjectiveGroupAssessment,
@@ -271,6 +271,26 @@ _SECTIONS: dict[str, _Kind] = {
 }
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A SafeLoader that refuses a key written twice in one mapping.  It
+    checks each mapping as composed, before merge keys (``<<``) are expanded,
+    so a key written next to a merge still overrides the merged one."""
+
+    def compose_mapping_node(self, anchor: Any) -> yaml.MappingNode:
+        node = super().compose_mapping_node(anchor)
+        seen = set()
+        for key, _ in node.value:
+            if not isinstance(key, yaml.ScalarNode) or key.tag == "tag:yaml.org,2002:merge":
+                continue
+            if (key.tag, key.value) in seen:
+                raise yaml.composer.ComposerError(
+                    "while composing a mapping", node.start_mark,
+                    f"found duplicate key {key.value!r}", key.start_mark,
+                )
+            seen.add((key.tag, key.value))
+        return node
+
+
 def scenario_from_mapping(raw: Any) -> ScenarioFile:
     """Validate an already-parsed mapping of sections (None means empty)."""
     if raw is None:
@@ -294,11 +314,12 @@ def parse_scenario(path: "str | Path") -> ScenarioFile:
         ScenarioValidationError: the content violates the schema.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ScenarioIOError(f"cannot read scenario file {path}: {exc}") from exc
     try:
-        raw = yaml.safe_load(text)
+        # yaml decodes the bytes itself, so a bad encoding is a YAMLError too.
+        raw = yaml.load(data, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ScenarioSyntaxError(f"invalid YAML in {path}: {exc}") from exc
     return scenario_from_mapping(raw)

@@ -12,7 +12,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 
-from certbound.assessment import aggregate_fault_freeness, level_preset
+from certbound.assessment import ASSURANCE_LEVEL_OBJECTIVES, aggregate_fault_freeness
 from certbound.cli import BOOTSTRAP_CSV_HEADER, SWEEP_CSV_HEADER, main
 from certbound.fleet import check_feasibility, run_bootstrap
 from certbound.inference import (
@@ -180,7 +180,7 @@ def test_criterion_7_bootstrap_at_fleet_scale():
 
 
 def test_criterion_8_presets_and_aggregation_ordering():
-    presets_ok = [level_preset(l).total_objectives for l in "ABCD"] == [71, 69, 62, 26]
+    presets_ok = [ASSURANCE_LEVEL_OBJECTIVES[l] for l in "ABCD"] == [71, 69, 62, 26]
     rng = np.random.default_rng(8)
     ordering_ok = True
     for _ in range(200):

@@ -3,11 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from certbound.assessment import (
-    AssuranceLevel,
+    ASSURANCE_LEVEL_OBJECTIVES,
     ObjectiveGroupAssessment,
-    UnknownLevelError,
     aggregate_fault_freeness,
-    level_preset,
 )
 
 
@@ -22,21 +20,8 @@ group_probs = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_
 
 
 class TestLevelPreset:
-    @pytest.mark.parametrize("level,count", [("A", 71), ("B", 69), ("C", 62), ("D", 26)])
-    def test_objective_counts(self, level, count):
-        preset = level_preset(level)
-        assert preset.level == level
-        assert preset.total_objectives == count
-
-    def test_unknown_level(self):
-        with pytest.raises(UnknownLevelError):
-            level_preset("E")
-        with pytest.raises(UnknownLevelError):
-            AssuranceLevel(level="E", total_objectives=71)
-
-    def test_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            AssuranceLevel(level="A", total_objectives=70)
+    def test_objective_counts(self):
+        assert ASSURANCE_LEVEL_OBJECTIVES == {"A": 71, "B": 69, "C": 62, "D": 26}
 
 
 class TestAggregate:
@@ -58,6 +43,15 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate_fault_freeness([], "conservative")
+
+    @pytest.mark.parametrize("mode", ["conservative", "independent"])
+    def test_one_shot_iterable_matches_list(self, mode):
+        groups = groups_from([0.9, 0.8])
+        assert aggregate_fault_freeness(iter(groups), mode) == aggregate_fault_freeness(
+            groups, mode
+        )
+        with pytest.raises(ValueError):
+            aggregate_fault_freeness(iter([]), mode)
 
     def test_duplicate_ids_rejected(self):
         groups = [

@@ -318,11 +318,24 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
-    def test_syntax_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"model: [unclosed\n",
+            b"model: {p_nf: 0.9, p_nf: 0.5}\nevidence: {r: 5}\nquery: {n: 3}\n",
+            b"model: {p_nf: 0.9}\nevidence: {r: 5}\nquery: {n: 3}\nmodel: {p_nf: 0.5}\n",
+            b"# caf\xe9\nmodel: {p_nf: 0.9}\nevidence: {r: 5}\nquery: {n: 3}\n",
+        ],
+        ids=["unclosed", "duplicate-key", "duplicate-section", "latin-1"],
+    )
+    def test_syntax_error(self, capsys, tmp_path, data):
         path = tmp_path / "broken.yaml"
-        path.write_text("model: [unclosed\n", encoding="utf-8")
-        code, _ = run(capsys, "predict", "--scenario", str(path))
+        path.write_bytes(data)
+        code = main(["predict", "--scenario", str(path)])
+        captured = capsys.readouterr()
         assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: invalid YAML in {path}: ")
 
     # An integer past float range in a number key; float() raises OverflowError on it.
     @pytest.mark.parametrize(

@@ -3,8 +3,7 @@ from certbound import assessment, fleet, inference, reliability, scenario
 
 EXPORTED = {
     # assessment
-    "ASSURANCE_LEVEL_OBJECTIVES", "AssuranceLevel", "ObjectiveGroupAssessment",
-    "UnknownLevelError", "aggregate_fault_freeness", "level_preset",
+    "ASSURANCE_LEVEL_OBJECTIVES", "ObjectiveGroupAssessment", "aggregate_fault_freeness",
     # fleet
     "BootstrapTrace", "ConstantGrowth", "FeasibilityVerdict", "FleetGrowthModel",
     "FleetScenario", "LinearGrowth", "LogisticGrowth", "WindowRecord",

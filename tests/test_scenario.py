@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -52,9 +53,35 @@ def test_missing_file_is_io_error(tmp_path):
         parse_scenario(tmp_path / "nope.yaml")
 
 
-def test_bad_yaml_is_syntax_error(tmp_path):
-    with pytest.raises(ScenarioSyntaxError):
-        parse_scenario(write(tmp_path, "model: [unclosed\n"))
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"model: [unclosed\n", ""),
+        (b"model: {p_nf: 0.9, p_nf: 0.5}\n", r"duplicate key 'p_nf'\n.* line 1, column 20"),
+        (b"model: {p_nf: 0.9}\nevidence: {r: 5}\nmodel: {p_nf: 0.5}\n",
+         r"duplicate key 'model'\n.* line 3, column 1"),
+        (b"# caf\xe9\nmodel: {p_nf: 0.9}\n", "invalid continuation byte"),
+        (b"model: {p_nf: 0.9}\x00\n", "special characters are not allowed"),
+    ],
+    ids=["unclosed", "duplicate-key", "duplicate-section", "latin-1", "nul"],
+)
+def test_bad_yaml_is_syntax_error(tmp_path, data, message):
+    path = tmp_path / "scenario.yaml"
+    path.write_bytes(data)
+    with pytest.raises(ScenarioSyntaxError, match=f"invalid YAML in {re.escape(str(path))}: (?s:.*){message}"):
+        parse_scenario(path)
+
+
+def test_key_beside_a_merge_overrides_it(tmp_path):
+    scenario = parse_scenario(write(tmp_path, "query: {n: 5, <<: {n: 7}}\n"))
+    assert scenario.query == Query(n=5)
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])
+def test_byte_order_mark_selects_the_encoding(tmp_path, encoding):
+    path = tmp_path / "scenario.yaml"
+    path.write_bytes("model: {p_nf: 0.9}\n".encode(encoding))
+    assert float(parse_scenario(path).model.p_nf) == 0.9
 
 
 def test_out_of_range_probability_names_key(tmp_path):
