@@ -49,7 +49,7 @@ _GRID_Q_MIN = 1e-15
 # perfbench's sweep-grid pools of seeds 1-3 and 71-73, and 3 at
 # r = 2**1022 - 1, n = 1 (689 from the old start x = -c1/n).
 _NEWTON_STEP_CAP = 1000
-# Below this M the root estimate moves x by less than an ulp (see _stationarity_root).
+# Below this M the root estimate moves x by less than an ulp (see _row).
 _M_FLAT = math.log(2.0**-53)
 
 
@@ -148,62 +148,11 @@ def _log_predictive_vec(a: float, lu: np.ndarray, r: int, n: int) -> np.ndarray:
 def _pair_terms(r: int, n: int) -> tuple:
     """A validated (r, n) pair and its root terms: log1p(n/r), log n, log r, n and r + n as
     floats, then -(r/n)*log1p(n/r), the pair's part of the root estimate's M (see
-    _stationarity_root).  They are NaN where r or n is 0, since the bound is then an endpoint."""
+    _row).  They are NaN where r or n is 0, since the bound is then an endpoint."""
     if r == 0 or n == 0:
         return r, n, math.nan, math.nan, math.nan, math.nan, math.nan, math.nan
     c1 = math.log1p(n / r)
     return r, n, c1, math.log(n), math.log(r), float(n), float(r + n), -(r / n) * c1
-
-
-def _stationarity_root(c1: float, c2: float, n: float, s: float, m: float) -> float:
-    """x* = log(1 - q*) at the unique interior minimum of g, for a in (0,1), r,n >= 1.
-
-    Clearing denominators in g'(q) = 0 and dividing by a*r gives, with
-    u = 1 - q and b = 1 - a,
-
-        A + B = 1,  A = (1 + n/r)*u**n,  B = (b/a)*(n/r)*u**(r + n)
-
-    Scaled this way both sides are O(1), so the root keeps its resolution
-    when r >> n.  In x = log u the equation is F(x) = 0, where the log of the
-    left side, F(x) = logaddexp(c1 + n*x, c2 + s*x) with c1 = log1p(n/r),
-    c2 = log(b/a) + log n - log r and s = r + n, is convex and increasing.
-
-    Newton's method starts at an estimate of the root x_a - z/s, x_a = -c1/n
-    (where A = 1).  Taking 1 - exp(-n*z/s) ~ n*z/s, A + B = 1 becomes
-    z + log z = M, M = c2 + s*x_a + log1p(r/n) = log(b/a) - (r/n)*c1 (the
-    argument m), whose root is z ~ M - log M + log(M)/M for M > 1 and
-    z ~ y*(2 + y)/(2 + 3*y), y = exp(M), otherwise (two-term expansions as
-    M -> inf and y -> 0).  Below M = _M_FLAT = log(2**-53) the start is x_a,
-    which is then within an ulp of the root: z*n/(s*c1) <= z <= y*(1 + z).
-
-    The estimate may lie on either side of the root, so the first step is
-    taken whatever its direction: F' >= n > 0 and a convex F lies above
-    each tangent, so a step from any x lands right of the root.  Right of
-    the root each tangent meets zero between the root and x, so the later
-    iterates fall monotonically and never overshoot.  The loop stops at the
-    first later step that no longer decreases x, and raises ArithmeticError
-    after _NEWTON_STEP_CAP steps, the first one included.
-    """
-    x = -c1 / n
-    if m > 1.0:
-        y = math.log(m)
-        x -= (m - y + y / m) / s
-    elif m > _M_FLAT:
-        y = math.exp(m)
-        x -= y * (2.0 + y) / ((2.0 + 3.0 * y) * s)
-    for i in range(_NEWTON_STEP_CAP):
-        # F and F' from the same two exponentials, the larger one factored out.
-        t1, t2 = c1 + n * x, c2 + s * x
-        if t1 >= t2:
-            e = math.exp(t2 - t1)
-            x_next = x - (t1 + math.log1p(e)) * (1.0 + e) / (n + s * e)
-        else:
-            e = math.exp(t1 - t2)
-            x_next = x - (t2 + math.log1p(e)) * (1.0 + e) / (s + n * e)
-        if x_next >= x and i:
-            return x
-        x = x_next
-    raise ArithmeticError(f"stationarity root took over {_NEWTON_STEP_CAP} Newton steps")
 
 
 def worst_case_survival(p_nf: float, r: int, n: int) -> SurvivalPrediction:
@@ -228,15 +177,43 @@ def _row(a: float, pairs: Sequence[tuple]) -> list[SurvivalPrediction]:
     order, do not depend on the other pairs, so every row is bit-identical to
     a lone call.  Interior bounds are clamped to [a, 1].
 
-    The root solves A + B = 1, A = (1 + n/r)*u**n, B = (b/a)*(n/r)*u**(r + n)
-    (see _stationarity_root), and there g = A and 1 - g = B: in general
+    An interior cell (a in (0, 1), r, n >= 1) finds x* = log(1 - q*) at the
+    unique interior minimum of g.  Clearing denominators in g'(q) = 0 and
+    dividing by a*r gives, with u = 1 - q and b = 1 - a,
+
+        A + B = 1,  A = (1 + n/r)*u**n,  B = (b/a)*(n/r)*u**(r + n)
+
+    Scaled this way both sides are O(1), so the root keeps its resolution
+    when r >> n.  In x = log u the equation is F(x) = 0, where the log of the
+    left side, F(x) = logaddexp(t1, t2) with t1 = c1 + n*x, t2 = c2 + s*x,
+    c1 = log1p(n/r), c2 = log(b/a) + log n - log r and s = r + n, is convex
+    and increasing.
+
+    Newton's method starts at an estimate of the root x_a - z/s, x_a = -c1/n
+    (where A = 1).  Taking 1 - exp(-n*z/s) ~ n*z/s, A + B = 1 becomes
+    z + log z = M, M = c2 + s*x_a + log1p(r/n) = log(b/a) - (r/n)*c1, whose
+    root is z ~ M - log M + log(M)/M for M > 1 and z ~ y*(2 + y)/(2 + 3*y),
+    y = exp(M), otherwise (two-term expansions as M -> inf and y -> 0).
+    Below M = _M_FLAT = log(2**-53) the start is x_a, which is then within an
+    ulp of the root: z*n/(s*c1) <= z <= y*(1 + z).
+
+    The estimate may lie on either side of the root, so the first step is
+    taken whatever its direction: F' >= n > 0 and a convex F lies above
+    each tangent, so a step from any x lands right of the root.  Right of
+    the root each tangent meets zero between the root and x, so the later
+    iterates fall monotonically and never overshoot.  The loop stops at the
+    first later step that no longer decreases x, and raises ArithmeticError
+    after _NEWTON_STEP_CAP steps, the first one included.  Its last
+    evaluation is at the returned x, so t1, t2 and e = exp(-|t1 - t2|) are
+    those of the root.
+
+    At the root g = A and 1 - g = B: in general
     1 - g = (b/a)*u**r*(1 - u**n)/(1 + (b/a)*u**r), and at the root
-    1 - u**n = u**n*(n/r)*(1 + (b/a)*u**r).  So the bound is exp(t1), where
-    t1 = c1 + n*x is the term the root's last Newton step computed.
+    1 - u**n = u**n*(n/r)*(1 + (b/a)*u**r).  So the bound is exp(t1).
 
     Error, to first order in eps = 2**-53 (exp, log, log1p within 1 ulp): with
-    e1, e2 the errors of the computed t1 and t2 = c2 + s*x at the returned x,
-    and e3 = log(exp(t1) + exp(t2)) there, the bound is off from g by
+    e1, e2 the errors of the computed t1 and t2 at the returned x, and
+    e3 = log(exp(t1) + exp(t2)) there, the bound is off from g by
     A*(B*(s*e1 - n*e2) + n*e3)/(n*A + s*B) + 2*eps*g.  So e1 weighs at most
     min(A, A*B*s/n), e2 at most min(A*B, A*n/s) and e3 at most A, and no
     |log a| cancels as in a ratio of log-add-exps.
@@ -246,18 +223,42 @@ def _row(a: float, pairs: Sequence[tuple]) -> list[SurvivalPrediction]:
     |e3| <= eps*(|x|*(n*A + s*B) + 2).  Summed, the error is at most
     eps*(2*c1 + log n + log r + 18): 1.2e-14 for counts up to 10**12.
     """
-    rows, d = [], None
-    for r, n, c1, log_n, log_r, n_f, s_f, m in pairs:
-        if n == 0 or a == 1.0:
-            bound, q = 1.0, 0.0
-        elif r == 0 or a == 0.0:
-            bound, q = a, 1.0
-        else:
-            if d is None:  # at the first interior cell, so a row of endpoints takes no logs
-                d = math.log1p(-a) - math.log(a)
-            x = _stationarity_root(c1, d + log_n - log_r, n_f, s_f, d + m)
-            g = math.exp(c1 + n_f * x)
+    rows = []
+    interior = 0.0 < a < 1.0
+    if interior:
+        d = math.log1p(-a) - math.log(a)
+    for r, n, c1, log_n, log_r, n_f, s_f, m_rn in pairs:
+        if interior and r and n:
+            c2, m = d + log_n - log_r, d + m_rn
+            x = -c1 / n_f
+            if m > 1.0:
+                y = math.log(m)
+                x -= (m - y + y / m) / s_f
+            elif m > _M_FLAT:
+                y = math.exp(m)
+                x -= y * (2.0 + y) / ((2.0 + 3.0 * y) * s_f)
+            for i in range(_NEWTON_STEP_CAP):
+                # F and F' from the same two exponentials, the larger one factored out.
+                t1, t2 = c1 + n_f * x, c2 + s_f * x
+                if t1 >= t2:
+                    e = math.exp(t2 - t1)
+                    x_next = x - (t1 + math.log1p(e)) * (1.0 + e) / (n_f + s_f * e)
+                else:
+                    e = math.exp(t1 - t2)
+                    x_next = x - (t2 + math.log1p(e)) * (1.0 + e) / (s_f + n_f * e)
+                if x_next >= x and i:
+                    break
+                x = x_next
+            else:
+                raise ArithmeticError(
+                    f"stationarity root took over {_NEWTON_STEP_CAP} Newton steps"
+                )
+            g = math.exp(t1)
             bound, q = a if g < a else 1.0 if g > 1.0 else g, -math.expm1(x)
+        elif n == 0 or a == 1.0:
+            bound, q = 1.0, 0.0
+        else:  # r == 0 or a == 0: the floor
+            bound, q = a, 1.0
         row = _new(SurvivalPrediction)
         _set_p_nf(row, a)
         _set_r(row, r)
@@ -371,4 +372,7 @@ def sweep(
     rs = [check_demand_count(r, "r") for r in r_grid]
     ns = [check_demand_count(n, "n") for n in n_grid]
     pairs = [_pair_terms(r, n) for r in rs for n in ns]
-    return [row for a in p_nfs for row in _row(a, pairs)]
+    rows = []
+    for a in p_nfs:
+        rows.extend(_row(a, pairs))
+    return rows

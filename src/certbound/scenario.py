@@ -134,6 +134,11 @@ def _fail(path: str, message: str, value: Any = ...) -> "ScenarioValidationError
     return ScenarioValidationError(f"{path}: {message}")
 
 
+def _sorted_keys(keys: set) -> list:
+    """Mapping keys of any YAML types in a fixed order; string keys in plain string order."""
+    return sorted(keys, key=lambda k: (str(k), repr(k)))
+
+
 def _build(build: Callable, value: Any, path: str) -> Any:
     """``build(value)``, with a ValueError or OverflowError it raises reported at ``path``."""
     try:
@@ -195,7 +200,7 @@ def _record(build: Callable, fields: dict[str, _Kind], optional: set = frozenset
         m = _mapping(value, path)
         unknown, missing = set(m) - allowed, required - set(m)
         if unknown:
-            raise _fail(path, f"unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})")
+            raise _fail(path, f"unknown keys {_sorted_keys(unknown)} (allowed: {sorted(allowed)})")
         if missing:
             raise _fail(path, f"missing required keys {sorted(missing)}")
         kwargs = {k: kind.load(m[k], f"{path}.{k}") for k, kind in fields.items() if k in m}
@@ -299,7 +304,7 @@ def scenario_from_mapping(raw: Any) -> ScenarioFile:
         raise _fail("<root>", "expected a mapping of sections", raw)
     unknown = set(raw) - set(_SECTIONS)
     if unknown:
-        raise _fail("<root>", f"unknown sections {sorted(unknown)}")
+        raise _fail("<root>", f"unknown sections {_sorted_keys(unknown)}")
     return ScenarioFile(
         **{name: kind.load(raw[name], name) for name, kind in _SECTIONS.items() if name in raw}
     )

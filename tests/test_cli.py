@@ -396,8 +396,20 @@ class TestExitCodes:
         assert "1022-bit integer" in captured.err
         assert max(len(line) for line in captured.err.splitlines()) <= 200
 
-    def test_validation_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("model:\n  p_nf: 1.5\n", "error: model.p_nf: "),
+            ("model: {1: a, x: b}\n", "error: model: unknown keys [1, 'x']"),
+            ("1: a\nx: b\n", "error: <root>: unknown sections [1, 'x']"),
+        ],
+        ids=["out-of-range", "mixed-type-keys", "mixed-type-sections"],
+    )
+    def test_validation_error(self, capsys, tmp_path, text, message):
         path = tmp_path / "invalid.yaml"
-        path.write_text("model:\n  p_nf: 1.5\n", encoding="utf-8")
-        code, _ = run(capsys, "predict", "--scenario", str(path))
+        path.write_text(text, encoding="utf-8")
+        code = main(["predict", "--scenario", str(path)])
+        captured = capsys.readouterr()
         assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith(message)

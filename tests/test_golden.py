@@ -25,6 +25,11 @@ SUBCOMMANDS = ("predict", "survival", "bootstrap", "assess", "sweep")
 CSV = "<csv>"
 UNWRITABLE = "<csv>/x.csv"  # under a file that does not exist
 
+# p_nf and counts at the edges of the accepted domain, so that the CSV holds the
+# kernel's full-precision output on each branch: floor, endpoint and interior root.
+CORNER_P_NF = "0,1e-300,1e-15,0.5,0.999999999999999,1"
+CORNER_COUNTS = ",".join(str(c) for c in (0, 1, 10**6, 10**12, 10**300))
+
 INLINE = [
     ["predict", "--p-nf", "0.9", "--r", "0", "--n", "1000000"],
     ["predict", "--p-nf", "0.9", "--r", "1000", "--n", "10000"],
@@ -44,6 +49,7 @@ INLINE = [
      "--mc-trials", "10", "--seed", "-1"],
     ["bootstrap", "--scenario", "scenarios/fleet_bootstrap.yaml", "--csv", UNWRITABLE],
     ["sweep", "--p-nf", "0.9", "--r", "0,1000", "--n", "10000"],
+    ["sweep", "--p-nf", CORNER_P_NF, "--r", CORNER_COUNTS, "--n", CORNER_COUNTS, "--csv", CSV],
     ["sweep", "--scenario", "scenarios/sweep_grid.yaml", "--r", "5", "--csv", CSV],
     ["sweep", "--scenario", "scenarios/sweep_grid.yaml", "--csv", UNWRITABLE],
     ["sweep", "--r", "1e3"],
@@ -137,7 +143,7 @@ CHANGED = {
         "0.9987614959529437": "0.9987614959529436",  # -6.5e-17
         "0.999799877973426": "0.9997998779734258",  # -5.7e-17
         # The root starts at a closed-form estimate of itself (see
-        # inference._stationarity_root), so its last steps can end an ulp or
+        # inference._row), so its last steps can end an ulp or
         # two away: these worst_case_q values moved by at most 1.9e-16
         # relative.  Each is followed by its relative distance to the 60-digit
         # root.  Windows 2 and 32 are back at their recorded values, +8.6e-17

@@ -93,7 +93,7 @@ def huge_count_digits(r, n) -> int:
 
 
 def root_tolerance(p_nf, r, n, x) -> float:
-    """First-order bound on _stationarity_root's relative error at the root x, with
+    """First-order bound on inference._row's relative error in the root x, with
     eps = 2**-53 (exp, log, log1p within 2*eps).  t1 = c1 + n*x is off by at most
     eps*(3*c1 + 2*n*|x| + |t1|) and t2 = c2 + s*x (s = r + n) by k2 + eps*(2*s*|x| + |t2|),
     k2 the roundings of c2 = log1p(-a) - log a + log n - log r.  F = log(e**t1 + e**t2)
@@ -113,6 +113,15 @@ def root_tolerance(p_nf, r, n, x) -> float:
     e2 = k2 + eps * (2 * s * abs(x) + abs(t2))
     e3 = eps * (min(A, B) * (abs(t2 - t1) + 2) + 2 * min(abs(t1), abs(t2)))
     return 2 * eps + (A * e1 + B * e2 + e3) / ((n * A + s * B) * abs(x))
+
+
+def kernel_root(p_nf, r, n) -> float:
+    """The root x = log(1 - q) that inference._row found for an interior cell: the
+    argument of the one expm1 call that turns x into worst_case_q."""
+    with mock.patch.object(inference.math, "expm1", wraps=math.expm1) as expm1:
+        worst_case_survival(p_nf, r, n)
+    expm1.assert_called_once()
+    return expm1.call_args.args[0]
 
 
 def stationarity_residual(p_nf, q, r, n) -> float:
@@ -232,9 +241,7 @@ class TestWorstCase:
     @settings(max_examples=60, deadline=None)
     def test_stationarity_root_matches_high_precision_root(self, p_nf, r, n):
         # A root that reached the step cap would raise ArithmeticError here.
-        _, _, c1, log_n, log_r, n_f, s_f, m = inference._pair_terms(r, n)
-        d = math.log1p(-p_nf) - math.log(p_nf)
-        x = inference._stationarity_root(c1, d + log_n - log_r, n_f, s_f, d + m)
+        x = kernel_root(p_nf, r, n)
         expected = stationarity_root_log1m_mp(p_nf, r, n, iterations=200)
         assert float(abs(x - expected) / abs(expected)) <= 1e-14, (p_nf, r, n, x, expected)
 
@@ -258,9 +265,7 @@ class TestWorstCase:
     @example(0.1, int(round(2.0**584.125)), 1)  # 1.2e-14: past 1e-14, within tolerance
     @settings(max_examples=30, deadline=None)
     def test_stationarity_root_to_the_count_cap(self, p_nf, r, n):
-        _, _, c1, log_n, log_r, n_f, s_f, m = inference._pair_terms(r, n)
-        d = math.log1p(-p_nf) - math.log(p_nf)
-        x = inference._stationarity_root(c1, d + log_n - log_r, n_f, s_f, d + m)
+        x = kernel_root(p_nf, r, n)
         with mp.workdps(huge_count_digits(r, n)):
             expected = stationarity_root_log1m_mp(p_nf, r, n, iterations=200)
             error = float(abs(x - expected) / abs(expected))

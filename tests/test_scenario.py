@@ -116,14 +116,30 @@ def test_empty_file_is_an_empty_scenario(tmp_path):
     assert parse_scenario(write(tmp_path, "")) == ScenarioFile()
 
 
-def test_unknown_top_level_section_rejected(tmp_path):
-    with pytest.raises(ScenarioValidationError, match="unknown sections"):
-        parse_scenario(write(tmp_path, "model:\n  p_nf: 0.9\nextra:\n  x: 1\n"))
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("model:\n  p_nf: 0.9\nextra:\n  x: 1\n", "unknown sections"),
+        ("1: a\nx: b\n", r"<root>: unknown sections \[1, 'x'\]"),
+    ],
+    ids=["string-key", "mixed-type-keys"],
+)
+def test_unknown_top_level_section_rejected(tmp_path, text, message):
+    with pytest.raises(ScenarioValidationError, match=message):
+        parse_scenario(write(tmp_path, text))
 
 
-def test_unknown_nested_key_rejected(tmp_path):
-    with pytest.raises(ScenarioValidationError, match="typo"):
-        parse_scenario(write(tmp_path, "model:\n  p_nf: 0.9\n  typo: 1\n"))
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("model:\n  p_nf: 0.9\n  typo: 1\n", "typo"),
+        ("model: {1: a, x: b}\n", r"model: unknown keys \[1, 'x'\]"),
+    ],
+    ids=["string-key", "mixed-type-keys"],
+)
+def test_unknown_nested_key_rejected(tmp_path, text, message):
+    with pytest.raises(ScenarioValidationError, match=message):
+        parse_scenario(write(tmp_path, text))
 
 
 def test_wrong_scalar_types_rejected(tmp_path):
