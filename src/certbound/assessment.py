@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .reliability import Probability, _check_positive_count
+from .reliability import _SHORT, Probability, _check_positive_count
 
 __all__ = [
     "ObjectiveGroupAssessment",
@@ -64,7 +64,7 @@ def aggregate_fault_freeness(
     ids = [g.group_id for g in groups]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise ValueError(f"duplicate group ids: {dupes}")
+        raise ValueError(f"duplicate group ids: {_SHORT.repr(dupes)}")
     if mode == "conservative":
         return Probability(max(0.0, 1.0 - math.fsum(1.0 - g.p_no_fault for g in groups)))
     if mode == "independent":

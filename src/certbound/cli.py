@@ -24,8 +24,8 @@ import sys
 from typing import Optional, Sequence
 
 from .assessment import aggregate_fault_freeness
-from .fleet import BootstrapTrace, check_feasibility, run_bootstrap
-from .inference import posterior_predictive_discrete, sweep, worst_case_survival
+from .fleet import check_feasibility, run_bootstrap
+from .inference import posterior_predictive_discrete, sweep
 from .reliability import check_demand_count, monte_carlo_survival, survival_probability
 from .scenario import (
     ScenarioFile,
@@ -103,16 +103,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
         )
 
     lines = []
-    for n in scenario.query.values():
-        pred = worst_case_survival(p_nf, r, n)
+    for pred in sweep((p_nf,), (r,), scenario.query.values()):
         lines += [
-            f"  n = {n}:",
+            f"  n = {pred.n}:",
             f"    lower bound       : {format_probability(pred.lower_bound)}",
             f"    worst-case q      : {format_probability(pred.worst_case_q)}",
             f"    excess over floor : {pred.excess_over_floor:.12g}",
         ]
         if scenario.prior is not None:
-            exact = posterior_predictive_discrete(scenario.prior, r, n)
+            exact = posterior_predictive_discrete(scenario.prior, r, pred.n)
             lines.append(f"    supplied-prior predictive : {format_probability(exact)}")
 
     print("conservative prediction of failure-free operation")
@@ -145,17 +144,6 @@ def cmd_survival(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_trace(trace: BootstrapTrace) -> None:
-    print(f"{'window':>6} {'fleet':>8} {'demands':>12} {'r_before':>14} "
-          f"{'lower_bound':>18} {'meets':>6}")
-    for w in trace.windows:
-        print(
-            f"{w.window_index:>6} {w.fleet_size:>8} {w.window_demands:>12} "
-            f"{w.accumulated_evidence:>14} {w.prediction.lower_bound:>18.12f} "
-            f"{'yes' if w.meets_threshold else 'NO':>6}"
-        )
-
-
 def cmd_bootstrap(args: argparse.Namespace) -> int:
     trace = run_bootstrap(_resolve(args).bootstrap)
     verdict = check_feasibility(trace)
@@ -177,7 +165,14 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
     print("fleet bootstrap run")
     print(f"  threshold           : {format_probability(trace.threshold)}")
     print(f"  cumulative demands  : {trace.cumulative_demands}")
-    _print_trace(trace)
+    print(f"{'window':>6} {'fleet':>8} {'demands':>12} {'r_before':>14} "
+          f"{'lower_bound':>18} {'meets':>6}")
+    for w in trace.windows:
+        print(
+            f"{w.window_index:>6} {w.fleet_size:>8} {w.window_demands:>12} "
+            f"{w.accumulated_evidence:>14} {w.prediction.lower_bound:>18.12f} "
+            f"{'yes' if w.meets_threshold else 'NO':>6}"
+        )
     if verdict.all_windows_pass:
         margin = "n/a" if verdict.minimum_margin is None else f"{verdict.minimum_margin:.12g}"
         print(f"verdict: all windows meet the threshold (minimum margin {margin})")
@@ -210,7 +205,7 @@ def _comma_ints(text: str) -> list[int]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     grids = _resolve(args).sweep
-    rows = sweep(list(grids.p_nf), list(grids.r), list(grids.n))
+    rows = sweep(grids.p_nf, grids.r, grids.n)
     if args.csv:
         _write_csv(
             args.csv,

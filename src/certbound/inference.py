@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,8 +46,7 @@ _GRID_Q_MIN = 1e-15
 # Newton steps allowed for the stationarity root.  From its closed-form start
 # and an unconditional first step (on a convex, increasing F any step lands
 # right of the root) it takes 2.9 steps on average and at most 9 over
-# perfbench's sweep-grid pools of seeds 1-3 and 71-73, and 3 at
-# r = 2**1022 - 1, n = 1 (689 from the old start x = -c1/n).
+# perfbench's sweep-grid pools of seeds 1-3 and 71-73, and 3 at r = 2**1022 - 1, n = 1.
 _NEWTON_STEP_CAP = 1000
 # Below this M the root estimate moves x by less than an ulp (see _row).
 _M_FLAT = math.log(2.0**-53)
@@ -356,21 +355,21 @@ def _complement(prior: DiscretePrior, r: int, n: int) -> float:
 
 
 def sweep(
-    p_nf_grid: Sequence[float],
-    r_grid: Sequence[int],
-    n_grid: Sequence[int],
+    p_nf_grid: Iterable[float],
+    r_grid: Iterable[int],
+    n_grid: Iterable[int],
 ) -> list[SurvivalPrediction]:
     """worst_case_survival over the Cartesian product of the three grids.
 
-    Each axis value is validated once, each (r, n) pair's root terms are
-    taken once per grid and each p_nf's logs once.  Rows are emitted in
-    input order, p_nf outermost and n innermost.
+    Grids are any iterables, numpy arrays included; each value is validated once,
+    before an empty grid is refused.  Each (r, n) pair's root terms and each p_nf's
+    logs are taken once.  Rows come in input order, p_nf outermost and n innermost.
     """
-    if not p_nf_grid or not r_grid or not n_grid:
-        raise ValueError("sweep grids must be non-empty")
     p_nfs = [float(Probability(p)) for p in p_nf_grid]
     rs = [check_demand_count(r, "r") for r in r_grid]
     ns = [check_demand_count(n, "n") for n in n_grid]
+    if not p_nfs or not rs or not ns:
+        raise ValueError("sweep grids must be non-empty")
     pairs = [_pair_terms(r, n) for r in rs for n in ns]
     rows = []
     for a in p_nfs:

@@ -4,14 +4,15 @@ The software is fault-free with probability ``p_nf`` (in which case it never
 fails); otherwise every demand fails independently with probability
 ``p_f_given_faulty``.  Everything downstream of this package reduces to the
 probability of surviving a run of independent demands under that mixture, so
-the powers ``(1 - q)**k`` are evaluated in the log domain to stay accurate
-for q near 0 and demand counts up to 10**12.
+the powers ``(1 - q)**k`` are evaluated in the log domain, accurate for q near
+0 and any count below 2**1022; the README gives the domain the tests cover.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,9 @@ _TRIAL_CHUNK = 1 << 20
 # numpy's geometric draws saturate here, so `first failure > n` is exact only below it.
 _GEOMETRIC_CAP = 2**63 - 1
 _COUNT_CAP = 2**1022  # demand counts stay below it, so r + n converts to a float
+_SHORT = reprlib.Repr()  # values in messages: top level only, 4 items of 24 characters
+_SHORT.maxlevel, _SHORT.maxlist, _SHORT.maxtuple, _SHORT.maxdict, _SHORT.maxset = 1, 4, 4, 2, 4
+_SHORT.maxstring = _SHORT.maxlong = _SHORT.maxother = 24
 
 
 class InfeasibleScaleError(ValueError):
@@ -129,12 +133,9 @@ def survival_probability(model: MixtureModel, n: int) -> Probability:
     n = check_demand_count(n, "n")
     if n == 0:
         return Probability(1.0)
-    p_nf = model.p_nf
-    if p_nf == 1.0:
-        return Probability(1.0)
     q = model.p_f_given_faulty
     survive = 0.0 if q == 1.0 else math.exp(n * math.log1p(-q))
-    return Probability(p_nf + (1.0 - p_nf) * survive)
+    return Probability(model.p_nf + (1.0 - model.p_nf) * survive)
 
 
 def monte_carlo_survival(

@@ -16,7 +16,7 @@ both loads (checks) and dumps the value, so parsing and serialisation agree
 by construction.  Parsing is strict: unknown keys anywhere are rejected, as
 are keys written twice and values of the wrong type (a typo in a
 certification input should never pass silently).  Validation errors always
-name the offending key and value.
+name the offending key and value, long values and key lists shortened.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .fleet import (
     LogisticGrowth,
 )
 from .inference import DiscretePrior
-from .reliability import MixtureModel, Probability, check_demand_count
+from .reliability import _SHORT, MixtureModel, Probability, check_demand_count
 
 __all__ = [
     "ScenarioError",
@@ -130,13 +130,13 @@ class ScenarioFile:
 
 def _fail(path: str, message: str, value: Any = ...) -> "ScenarioValidationError":
     if value is not ...:
-        message = f"{message}, got {value!r}"
+        message = f"{message}, got {_SHORT.repr(value)}"
     return ScenarioValidationError(f"{path}: {message}")
 
 
-def _sorted_keys(keys: set) -> list:
-    """Mapping keys of any YAML types in a fixed order; string keys in plain string order."""
-    return sorted(keys, key=lambda k: (str(k), repr(k)))
+def _sorted_keys(keys: set) -> str:
+    """Keys of any YAML types in a fixed order (strings in string order), shortened."""
+    return _SHORT.repr(sorted(keys, key=lambda k: (str(k), repr(k))))
 
 
 def _build(build: Callable, value: Any, path: str) -> Any:
@@ -169,7 +169,8 @@ def _scalar(
 def _choice(*options: str) -> _Kind:
     def build(value: str) -> str:
         if value not in options:
-            raise ValueError(f"expected one of {', '.join(map(repr, options))}, got {value!r}")
+            raise ValueError(f"expected one of {', '.join(map(repr, options))}, "
+                             f"got {_SHORT.repr(value)}")
         return value
 
     return _scalar("a string", (str,), build)
@@ -315,7 +316,7 @@ def parse_scenario(path: "str | Path") -> ScenarioFile:
 
     Raises:
         ScenarioIOError: the file does not exist or cannot be read.
-        ScenarioSyntaxError: the file is not valid YAML.
+        ScenarioSyntaxError: the file is not valid YAML, or nests too deep to load.
         ScenarioValidationError: the content violates the schema.
     """
     try:
@@ -325,17 +326,13 @@ def parse_scenario(path: "str | Path") -> ScenarioFile:
     try:
         # yaml decodes the bytes itself, so a bad encoding is a YAMLError too.
         raw = yaml.load(data, Loader=_UniqueKeyLoader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # yaml recurses once per nesting level
         raise ScenarioSyntaxError(f"invalid YAML in {path}: {exc}") from exc
     return scenario_from_mapping(raw)
 
 
-def scenario_to_mapping(scenario: ScenarioFile) -> dict:
-    """Plain-dict form of a scenario, suitable for YAML dumping."""
-    sections = ((name, kind, getattr(scenario, name)) for name, kind in _SECTIONS.items())
-    return {name: kind.dump(value) for name, kind, value in sections if value is not None}
-
-
 def serialize_scenario(scenario: ScenarioFile) -> str:
     """YAML text that parses back to an identical scenario."""
-    return yaml.safe_dump(scenario_to_mapping(scenario), sort_keys=False)
+    sections = ((name, kind, getattr(scenario, name)) for name, kind in _SECTIONS.items())
+    mapping = {name: kind.dump(value) for name, kind, value in sections if value is not None}
+    return yaml.safe_dump(mapping, sort_keys=False)

@@ -61,6 +61,13 @@ class TestAggregate:
         with pytest.raises(ValueError, match="6.3.2"):
             aggregate_fault_freeness(groups, "conservative")
 
+    def test_duplicate_ids_message_stays_short(self):
+        ids = ["x" * 10_000 + str(i) for i in range(100)]
+        groups = [ObjectiveGroupAssessment(i, 1, 0.99) for i in ids + ids]
+        with pytest.raises(ValueError, match="^duplicate group ids: ") as exc:
+            aggregate_fault_freeness(groups, "conservative")
+        assert len(str(exc.value)) <= 200
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             aggregate_fault_freeness(groups_from([0.9]), "optimistic")

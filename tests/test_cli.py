@@ -325,8 +325,11 @@ class TestExitCodes:
             b"model: {p_nf: 0.9, p_nf: 0.5}\nevidence: {r: 5}\nquery: {n: 3}\n",
             b"model: {p_nf: 0.9}\nevidence: {r: 5}\nquery: {n: 3}\nmodel: {p_nf: 0.5}\n",
             b"# caf\xe9\nmodel: {p_nf: 0.9}\nevidence: {r: 5}\nquery: {n: 3}\n",
+            b"model: " + b"[" * 1000 + b"]" * 1000 + b"\n",
+            b"model: " + b"{a: " * 1000 + b"1" + b"}" * 1000 + b"\n",
         ],
-        ids=["unclosed", "duplicate-key", "duplicate-section", "latin-1"],
+        ids=["unclosed", "duplicate-key", "duplicate-section", "latin-1", "deep-list",
+             "deep-mapping"],
     )
     def test_syntax_error(self, capsys, tmp_path, data):
         path = tmp_path / "broken.yaml"
@@ -394,6 +397,37 @@ class TestExitCodes:
         assert code == 4
         assert captured.out == ""
         assert "1022-bit integer" in captured.err
+        assert max(len(line) for line in captured.err.splitlines()) <= 200
+
+    # Long values and long key lists print shortened, so a message stays one short line.
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("predict", "model: [" + "1, " * 100_000 + "1]\n", "model"),
+            ("predict", "model: {p_nf: '" + "x" * 100_000 + "'}\n", "model.p_nf"),
+            ("predict", "model: {" + ", ".join(f"k{i}: 0" for i in range(10_000)) + "}\n",
+             "model"),
+            ("predict", "model: {" + ", ".join(f"{'k' * 1000}{i}: 0" for i in range(10)) + "}\n",
+             "model"),
+            # Aliases nest lists of 10 five deep: 10**5 leaves in the last from a small file.
+            ("predict", "model: [&a0 [" + "1, " * 9 + "1], "
+             + ", ".join(f"&a{i} [" + ", ".join([f"*a{i - 1}"] * 10) + "]" for i in range(1, 5))
+             + "]\n", "model"),
+            ("assess", "assessment:\n  mode: '" + "x" * 100_000 + "'\n"
+             "  groups: [{group_id: a, objective_count: 1, p_no_fault: 0.9}]\n",
+             "assessment.mode"),
+        ],
+        ids=["long-list", "long-string", "many-unknown-keys", "long-unknown-keys",
+             "nested-aliases", "long-choice"],
+    )
+    def test_long_input_messages_stay_short(self, capsys, tmp_path, command, text, key):
+        path = tmp_path / "long.yaml"
+        path.write_text(text, encoding="utf-8")
+        code = main([command, "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {key}: ")
         assert max(len(line) for line in captured.err.splitlines()) <= 200
 
     @pytest.mark.parametrize(

@@ -527,6 +527,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep([], [1], [1])
 
+    def test_any_iterable_grid_gives_the_list_rows(self):
+        rows = sweep([0.9, 0.99], [0, 1, 2], [1, 10])
+        assert sweep(np.array([0.9, 0.99]), np.arange(3), np.array([1, 10])) == rows
+        assert sweep(iter([0.9, 0.99]), range(3), (1, 10)) == rows
+
+    def test_bad_value_beside_an_empty_grid_is_reported(self):
+        with pytest.raises(ValueError, match="probability"):
+            sweep([1.5], [], [1])
+
     @given(grid_p_nf, grid_counts, grid_counts)
     @example([0.0, -0.0, 1.0, 1e-300, 0.5], [0, 1, 10**12], [0, 1, 10**12])
     @settings(max_examples=60, deadline=None)

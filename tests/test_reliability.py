@@ -73,8 +73,11 @@ class TestSurvivalProbability:
     def test_zero_demands_always_survived(self):
         assert survival_probability(MixtureModel(0.9, 0.01), 0) == 1.0
 
-    def test_certain_fault_freeness_dominates(self):
-        assert survival_probability(MixtureModel(1.0, 0.5), 10**9) == 1.0
+    # p_nf == 1 takes the general formula, 1.0 + 0.0 * survive, which is exactly 1.
+    @pytest.mark.parametrize("q", [0.0, 5e-324, 1e-300, 0.5, 1.0 - 1e-16, 1.0])
+    @pytest.mark.parametrize("n", [1, 10**9, 2**1021])
+    def test_certain_fault_freeness_dominates(self, q, n):
+        assert survival_probability(MixtureModel(1.0, q), n) == 1.0
 
     def test_exact_at_the_corners(self):
         assert survival_probability(MixtureModel(0.25, 1.0), 3) == 0.25

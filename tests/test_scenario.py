@@ -62,8 +62,12 @@ def test_missing_file_is_io_error(tmp_path):
          r"duplicate key 'model'\n.* line 3, column 1"),
         (b"# caf\xe9\nmodel: {p_nf: 0.9}\n", "invalid continuation byte"),
         (b"model: {p_nf: 0.9}\x00\n", "special characters are not allowed"),
+        # yaml composes nested nodes recursively, so this deep it runs out of stack.
+        (b"model: " + b"[" * 1000 + b"]" * 1000 + b"\n", "maximum recursion depth exceeded"),
+        (b"model: " + b"{a: " * 1000 + b"1" + b"}" * 1000 + b"\n", "maximum recursion depth exceeded"),
     ],
-    ids=["unclosed", "duplicate-key", "duplicate-section", "latin-1", "nul"],
+    ids=["unclosed", "duplicate-key", "duplicate-section", "latin-1", "nul", "deep-list",
+         "deep-mapping"],
 )
 def test_bad_yaml_is_syntax_error(tmp_path, data, message):
     path = tmp_path / "scenario.yaml"
