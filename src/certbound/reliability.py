@@ -14,6 +14,7 @@ import math
 import operator
 import reprlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,8 +106,7 @@ class MixtureModel:
         object.__setattr__(self, "p_f_given_faulty", Probability(self.p_f_given_faulty))
 
 
-@dataclass(frozen=True)
-class MonteCarloEstimate:
+class MonteCarloEstimate(NamedTuple):
     """Survival fraction from simulation, with its binomial standard error."""
 
     estimate: float

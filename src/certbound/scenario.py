@@ -69,8 +69,7 @@ class ScenarioValidationError(ScenarioError):
     """The scenario file is well-formed but violates the schema."""
 
 
-@dataclass(frozen=True)
-class ModelSection:
+class ModelSection(NamedTuple):
     p_nf: Probability
     p_f_given_faulty: Optional[Probability] = None
 
@@ -82,8 +81,7 @@ class ModelSection:
         return MixtureModel(p_nf=self.p_nf, p_f_given_faulty=self.p_f_given_faulty)
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(NamedTuple):
     """A count of consecutive failure-free demands already observed."""
 
     r: int
@@ -104,21 +102,18 @@ class Query:
         return (self.n,) if self.n is not None else self.n_grid
 
 
-@dataclass(frozen=True)
-class AssessmentSpec:
+class AssessmentSpec(NamedTuple):
     mode: AggregationMode
     groups: tuple[ObjectiveGroupAssessment, ...]
 
 
-@dataclass(frozen=True)
-class SweepGrids:
+class SweepGrids(NamedTuple):
     p_nf: tuple[float, ...]
     r: tuple[int, ...]
     n: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ScenarioFile:
+class ScenarioFile(NamedTuple):
     model: Optional[ModelSection] = None
     evidence: Optional[Evidence] = None
     query: Optional[Query] = None
@@ -201,14 +196,15 @@ def _record(build: Callable, fields: dict[str, _Kind], optional: set = frozenset
         m = _mapping(value, path)
         unknown, missing = set(m) - allowed, required - set(m)
         if unknown:
-            raise _fail(path, f"unknown keys {_sorted_keys(unknown)} (allowed: {sorted(allowed)})")
+            # The full allowed list (143 characters for bootstrap) gets a line of its own.
+            raise _fail(path, f"unknown keys {_sorted_keys(unknown)}\n  allowed: {sorted(allowed)}")
         if missing:
             raise _fail(path, f"missing required keys {sorted(missing)}")
         kwargs = {k: kind.load(m[k], f"{path}.{k}") for k, kind in fields.items() if k in m}
         return _build(lambda kw: build(**kw), kwargs, path)
 
     def dump(obj: Any) -> dict:
-        values = obj if isinstance(obj, tuple) else [getattr(obj, k) for k in fields]
+        values = obj if type(obj) is tuple else [getattr(obj, k) for k in fields]
         return {k: kind.dump(v) for (k, kind), v in zip(fields.items(), values) if v is not None}
 
     return _Kind(load, dump)
@@ -316,7 +312,8 @@ def parse_scenario(path: "str | Path") -> ScenarioFile:
 
     Raises:
         ScenarioIOError: the file does not exist or cannot be read.
-        ScenarioSyntaxError: the file is not valid YAML, or nests too deep to load.
+        ScenarioSyntaxError: the file is not valid YAML, nests too deep to load,
+            or holds a scalar yaml cannot construct.
         ScenarioValidationError: the content violates the schema.
     """
     try:
@@ -324,9 +321,11 @@ def parse_scenario(path: "str | Path") -> ScenarioFile:
     except OSError as exc:
         raise ScenarioIOError(f"cannot read scenario file {path}: {exc}") from exc
     try:
-        # yaml decodes the bytes itself, so a bad encoding is a YAMLError too.
+        # yaml decodes the bytes itself, so a bad encoding is a YAMLError too.  It
+        # recurses once per nesting level, and its constructors raise ValueError on
+        # scalars they cannot build: an integer past 4,300 digits, a date like 2001-13-01.
         raw = yaml.load(data, Loader=_UniqueKeyLoader)
-    except (yaml.YAMLError, RecursionError) as exc:  # yaml recurses once per nesting level
+    except (yaml.YAMLError, RecursionError, ValueError) as exc:
         raise ScenarioSyntaxError(f"invalid YAML in {path}: {exc}") from exc
     return scenario_from_mapping(raw)
 

@@ -327,9 +327,11 @@ class TestExitCodes:
             b"# caf\xe9\nmodel: {p_nf: 0.9}\nevidence: {r: 5}\nquery: {n: 3}\n",
             b"model: " + b"[" * 1000 + b"]" * 1000 + b"\n",
             b"model: " + b"{a: " * 1000 + b"1" + b"}" * 1000 + b"\n",
+            b"model: {p_nf: " + b"1" * 5000 + b"}\nevidence: {r: 5}\nquery: {n: 3}\n",
+            b"model: {p_nf: 2001-13-01}\nevidence: {r: 5}\nquery: {n: 3}\n",
         ],
         ids=["unclosed", "duplicate-key", "duplicate-section", "latin-1", "deep-list",
-             "deep-mapping"],
+             "deep-mapping", "5000-digit-integer", "bad-date"],
     )
     def test_syntax_error(self, capsys, tmp_path, data):
         path = tmp_path / "broken.yaml"
@@ -409,6 +411,9 @@ class TestExitCodes:
              "model"),
             ("predict", "model: {" + ", ".join(f"{'k' * 1000}{i}: 0" for i in range(10)) + "}\n",
              "model"),
+            # The allowed-key list, 143 characters for bootstrap, gets a line of its own.
+            ("bootstrap", "bootstrap: {" + ", ".join(f"{'k' * 1000}{i}: 0" for i in range(10))
+             + "}\n", "bootstrap"),
             # Aliases nest lists of 10 five deep: 10**5 leaves in the last from a small file.
             ("predict", "model: [&a0 [" + "1, " * 9 + "1], "
              + ", ".join(f"&a{i} [" + ", ".join([f"*a{i - 1}"] * 10) + "]" for i in range(1, 5))
@@ -418,7 +423,7 @@ class TestExitCodes:
              "assessment.mode"),
         ],
         ids=["long-list", "long-string", "many-unknown-keys", "long-unknown-keys",
-             "nested-aliases", "long-choice"],
+             "long-unknown-bootstrap-keys", "nested-aliases", "long-choice"],
     )
     def test_long_input_messages_stay_short(self, capsys, tmp_path, command, text, key):
         path = tmp_path / "long.yaml"

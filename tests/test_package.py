@@ -1,6 +1,10 @@
+import dataclasses
+import pickle
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import certbound
 from certbound import assessment, fleet, inference, reliability, scenario
@@ -47,3 +51,50 @@ def test_import_loads_numpy_and_yaml():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.split() == ["True", "True"]
+
+
+def _samples() -> dict:
+    """One instance of every public record class, built from sample values."""
+    c = certbound
+    prediction = c.SurvivalPrediction(0.9, 3, 4, 0.95, 1e-3)
+    window = c.WindowRecord(0, 3, 30, 0, prediction, True, prediction)
+    group = c.ObjectiveGroupAssessment("6.3.2", 7, 0.999)
+    growth = c.LinearGrowth(3, 2)
+    fleet_scenario = c.FleetScenario(growth, 10, 2, 0.9, 0, 0.5, True)
+    model, evidence, query = c.ModelSection(c.Probability(0.9), None), c.Evidence(5), c.Query(n=4)
+    prior = c.DiscretePrior(0.9, ((1e-2, 0.1),))
+    assessment_spec = c.AssessmentSpec("conservative", (group,))
+    grids = c.SweepGrids((0.9,), (0, 5), (4,))
+    return {type(obj): obj for obj in [
+        prediction, window, group, growth, fleet_scenario, model, evidence, query, prior,
+        assessment_spec, grids, c.BootstrapTrace((window,), 30, c.Probability(0.5)),
+        c.FeasibilityVerdict(True, None, 30, 0.45), c.MonteCarloEstimate(0.95, 0.02, 100, 7),
+        c.MixtureModel(0.9, 0.01), c.ConstantGrowth(3), c.LogisticGrowth(3, 0.35, 80),
+        c.ScenarioFile(model, evidence, query, prior, assessment_spec, fleet_scenario, grids),
+    ]}
+
+
+RECORDS = [
+    obj for obj in map(vars(certbound).get, certbound.__all__)
+    if isinstance(obj, type) and (dataclasses.is_dataclass(obj) or issubclass(obj, tuple))
+]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_invariants(cls):
+    assert len(RECORDS) == 18
+    record = _samples()[cls]
+    # A record that checks its inputs is a frozen dataclass; one that only
+    # carries values is a NamedTuple.  SurvivalPrediction stays a dataclass.
+    is_dataclass = dataclasses.is_dataclass(cls)
+    assert is_dataclass == (hasattr(cls, "__post_init__") or cls is certbound.SurvivalPrediction)
+    assert issubclass(cls, tuple) != is_dataclass
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record and type(copy) is cls and hash(copy) == hash(record)
+    names = [f.name for f in dataclasses.fields(cls)] if is_dataclass else cls._fields
+    text = repr(record)
+    assert text.startswith(f"{cls.__name__}(")
+    assert all(f"{name}=" in text for name in names)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))

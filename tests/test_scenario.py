@@ -65,9 +65,12 @@ def test_missing_file_is_io_error(tmp_path):
         # yaml composes nested nodes recursively, so this deep it runs out of stack.
         (b"model: " + b"[" * 1000 + b"]" * 1000 + b"\n", "maximum recursion depth exceeded"),
         (b"model: " + b"{a: " * 1000 + b"1" + b"}" * 1000 + b"\n", "maximum recursion depth exceeded"),
+        # yaml's constructors raise ValueError on scalars they cannot build.
+        (b"model: {p_nf: " + b"1" * 5000 + b"}\n", "Exceeds the limit"),
+        (b"model: {p_nf: 2001-13-01}\n", "month must be in 1..12"),
     ],
     ids=["unclosed", "duplicate-key", "duplicate-section", "latin-1", "nul", "deep-list",
-         "deep-mapping"],
+         "deep-mapping", "5000-digit-integer", "bad-date"],
 )
 def test_bad_yaml_is_syntax_error(tmp_path, data, message):
     path = tmp_path / "scenario.yaml"
@@ -266,7 +269,7 @@ def test_every_field_round_trips(growth, query, tmp_path):
     assert first.bootstrap.growth == GROWTHS[growth]
     assert first.bootstrap.include_remaining_lifetime is True
     assert first.query.values() == QUERIES[query]
-    assert all(getattr(first, name) is not None for name in first.__dataclass_fields__)
+    assert all(getattr(first, name) is not None for name in first._fields)
     rewritten = serialize_scenario(first)
     second = parse_scenario(write(tmp_path, rewritten))
     assert second == first
