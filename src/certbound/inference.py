@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -83,7 +83,7 @@ class DiscretePrior:
             raise ValueError(f"p_nf + atom weights must sum to 1, got {total!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SurvivalPrediction:
     """Conservative lower bound on surviving n further demands after r
     failure-free ones, with the q where the worst case lies.
@@ -103,19 +103,8 @@ class SurvivalPrediction:
         return self.lower_bound - self.p_nf
 
 
-# _row builds records through the slot descriptors, at a third of the generated __init__'s cost.
-_set_p_nf, _set_r, _set_n, _set_lower_bound, _set_worst_case_q = (
-    getattr(SurvivalPrediction, name).__set__ for name in SurvivalPrediction.__slots__
-)
+# _row fills each record's __dict__: an item write assigns no attribute, so __setattr__ never runs.
 _new = object.__new__
-
-
-def _refuse(self: SurvivalPrediction, name: str, *value: object) -> None:
-    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
-
-
-# dataclass's frozen pair calls super() on the class slots=True replaced: TypeError on 3.11.
-SurvivalPrediction.__setattr__ = SurvivalPrediction.__delattr__ = _refuse
 
 
 @functools.lru_cache(maxsize=1)
@@ -259,11 +248,12 @@ def _row(a: float, pairs: Sequence[tuple]) -> list[SurvivalPrediction]:
         else:  # r == 0 or a == 0: the floor
             bound, q = a, 1.0
         row = _new(SurvivalPrediction)
-        _set_p_nf(row, a)
-        _set_r(row, r)
-        _set_n(row, n)
-        _set_lower_bound(row, bound)
-        _set_worst_case_q(row, q)
+        fields = row.__dict__
+        fields["p_nf"] = a
+        fields["r"] = r
+        fields["n"] = n
+        fields["lower_bound"] = bound
+        fields["worst_case_q"] = q
         rows.append(row)
     return rows
 

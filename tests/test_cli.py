@@ -248,6 +248,26 @@ class TestBootstrap:
         assert captured.out == ""
         assert "initial_evidence + all window demands must be < 2**1022" in captured.err
 
+    def test_remaining_lifetime_is_not_solved(self, capsys, tmp_path, monkeypatch):
+        received = []
+
+        def spy(scenario):
+            received.append(scenario)
+            return run_bootstrap(scenario)
+
+        monkeypatch.setattr("certbound.cli.run_bootstrap", spy)
+        text = (SCENARIOS / "fleet_bootstrap.yaml").read_text(encoding="utf-8")
+        path, csv_path = tmp_path / "fleet.yaml", tmp_path / "trace.csv"
+        outputs = []
+        for extra in ["", "  include_remaining_lifetime: true\n"]:
+            path.write_text(text + extra, encoding="utf-8")
+            code, out = run(capsys, "bootstrap", "--scenario", str(path), "--csv", str(csv_path))
+            outputs.append((code, out, csv_path.read_bytes()))
+        assert parse_scenario(path).bootstrap.include_remaining_lifetime
+        assert [scenario.include_remaining_lifetime for scenario in received] == [False, False]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+
 
 class TestAssess:
     def test_matches_library(self, capsys):

@@ -622,3 +622,27 @@ class TestSurvivalPredictionRecord:
         moved = dataclasses.replace(record, lower_bound=0.96)
         assert dataclasses.asdict(moved) == {**self.VALUES, "lower_bound": 0.96}
         assert record.lower_bound == 0.95
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: worst_case_survival(0.9, 1000, 10000), lambda: sweep([0.9], [1000], [10000])[0]],
+        ids=["worst_case_survival", "sweep"],
+    )
+    def test_kernel_record_is_ordinary(self, build):
+        record = build()
+        assert 0.0 < record.worst_case_q < 1.0  # an interior cell: the Newton path built it
+        values = dataclasses.astuple(record)
+        reference = SurvivalPrediction(*values)
+        assert record == reference and hash(record) == hash(reference)
+        assert repr(record) == repr(reference)
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and type(copy) is SurvivalPrediction
+        names = [f.name for f in dataclasses.fields(SurvivalPrediction)]
+        assert dataclasses.asdict(record) == dict(zip(names, values))
+        assert dataclasses.replace(record, n=5) == SurvivalPrediction(*values[:2], 5, *values[3:])
+        for name in [*names, "extra"]:
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(record, name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                delattr(record, name)
+        assert dataclasses.astuple(record) == values
