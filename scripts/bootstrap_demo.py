@@ -20,7 +20,7 @@ def main() -> None:
     trace = run_bootstrap(fleet)
     verdict = check_feasibility(trace)
 
-    print(f"assessed p_nf {float(fleet.p_nf)}, threshold {float(fleet.confidence_threshold)}, "
+    print(f"assessed p_nf {fleet.p_nf}, threshold {fleet.confidence_threshold}, "
           f"starting evidence r = {fleet.initial_evidence}")
     print(f"{'window':>6} {'fleet':>6} {'demands':>10} {'r so far':>12} "
           f"{'window bound':>14} {'lifetime bound':>15} {'pass':>5}")
@@ -28,8 +28,8 @@ def main() -> None:
     for w in trace.windows:
         print(
             f"{w.window_index:>6} {w.fleet_size:>6} {w.window_demands:>10} "
-            f"{w.accumulated_evidence:>12} {float(w.prediction.lower_bound):>14.8f} "
-            f"{float(w.remaining_lifetime.lower_bound):>15.8f} "
+            f"{w.accumulated_evidence:>12} {w.prediction.lower_bound:>14.8f} "
+            f"{w.remaining_lifetime.lower_bound:>15.8f} "
             f"{'yes' if w.meets_threshold else 'NO':>5}"
         )
 
@@ -46,7 +46,7 @@ def main() -> None:
         f"nearly worthless at that exposure - while the first window already has a "
         f"{first.prediction.excess_over_floor:.1e} margin; by the last window the "
         f"bootstrapped evidence has lifted the bound to "
-        f"{float(last.prediction.lower_bound):.6f}."
+        f"{last.prediction.lower_bound:.6f}."
     )
 
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .reliability import _SHORT, Probability, _check_positive_count
+from .reliability import _SHORT, _check_positive_count, check_probability
 
 __all__ = [
     "ObjectiveGroupAssessment",
@@ -40,19 +40,19 @@ class ObjectiveGroupAssessment:
 
     group_id: str
     objective_count: int
-    p_no_fault: Probability
+    p_no_fault: float
 
     def __post_init__(self) -> None:
         if not self.group_id:
             raise ValueError("group_id must be non-empty")
         _check_positive_count(self.objective_count, "objective_count")
-        object.__setattr__(self, "p_no_fault", Probability(self.p_no_fault))
+        object.__setattr__(self, "p_no_fault", check_probability(self.p_no_fault))
 
 
 def aggregate_fault_freeness(
     groups: Iterable[ObjectiveGroupAssessment],
     mode: AggregationMode,
-) -> Probability:
+) -> float:
     """Whole-standard probability of fault-freeness from per-group judgments.
 
     ``conservative`` uses the Frechet lower bound, ``independent`` the plain
@@ -66,7 +66,7 @@ def aggregate_fault_freeness(
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise ValueError(f"duplicate group ids: {_SHORT.repr(dupes)}")
     if mode == "conservative":
-        return Probability(max(0.0, 1.0 - math.fsum(1.0 - g.p_no_fault for g in groups)))
+        return check_probability(max(0.0, 1.0 - math.fsum(1.0 - g.p_no_fault for g in groups)))
     if mode == "independent":
-        return Probability(math.prod(g.p_no_fault for g in groups))
+        return check_probability(math.prod(g.p_no_fault for g in groups))
     raise ValueError(f"mode must be 'conservative' or 'independent', got {mode!r}")

@@ -57,7 +57,7 @@ EXIT_USAGE_ERROR = 5
 
 def format_probability(p: float) -> str:
     """12 significant digits, plus the distance from 0 or 1 when that close."""
-    text = f"{float(p):.12g}"
+    text = f"{p:.12g}"
     if 0.0 < p < 1e-6:
         text += f" (0 + {p:.3g})"
     elif 1.0 - 1e-6 < p < 1.0:
@@ -96,10 +96,10 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     scenario = _resolve(args)
-    p_nf, r = float(scenario.model.p_nf), scenario.evidence.r
+    p_nf, r = scenario.model.p_nf, scenario.evidence.r
     if scenario.prior is not None and scenario.prior.p_nf != p_nf:
         raise ScenarioValidationError(
-            f"prior.p_nf ({float(scenario.prior.p_nf)!r}) must equal model.p_nf ({p_nf!r}): "
+            f"prior.p_nf ({scenario.prior.p_nf!r}) must equal model.p_nf ({p_nf!r}): "
             "the bound holds only for priors with the assessed fault-free mass"
         )
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple, Optional, Union
 
-from .inference import SurvivalPrediction, _pair_terms, _row
-from .reliability import Probability, _check_positive_count, _count_text, check_demand_count
+from .inference import SurvivalPrediction, _rows
+from .reliability import _check_positive_count, _count_text, check_demand_count, check_probability
 
 __all__ = [
     "ConstantGrowth",
@@ -112,17 +112,18 @@ class FleetScenario:
     growth: FleetGrowthModel
     demands_per_aircraft_per_window: int
     window_count: int
-    p_nf: Probability
+    p_nf: float
     initial_evidence: int
-    confidence_threshold: Probability
+    confidence_threshold: float
     include_remaining_lifetime: bool = False
 
     def __post_init__(self) -> None:
         _check_positive_count(self.demands_per_aircraft_per_window, "demands_per_aircraft_per_window")
-        check_demand_count(self.window_count, "window_count")
+        if check_demand_count(self.window_count, "window_count") > 10**5:  # ~450 B a window
+            raise ValueError(f"window_count must be <= 100000, got {_count_text(self.window_count)}")
         check_demand_count(self.initial_evidence, "initial_evidence")
-        object.__setattr__(self, "p_nf", Probability(self.p_nf))
-        object.__setattr__(self, "confidence_threshold", Probability(self.confidence_threshold))
+        object.__setattr__(self, "p_nf", check_probability(self.p_nf))
+        object.__setattr__(self, "confidence_threshold", check_probability(self.confidence_threshold))
 
 
 class WindowRecord(NamedTuple):
@@ -141,7 +142,7 @@ class WindowRecord(NamedTuple):
 class BootstrapTrace(NamedTuple):
     windows: tuple[WindowRecord, ...]
     cumulative_demands: int
-    threshold: Probability
+    threshold: float
 
 
 class FeasibilityVerdict(NamedTuple):
@@ -166,9 +167,9 @@ def run_bootstrap(scenario: FleetScenario) -> BootstrapTrace:
     final = scenario.initial_evidence + sum(window_demands)
     check_demand_count(final, "initial_evidence + all window demands")
     evidence = list(accumulate(window_demands, initial=scenario.initial_evidence))[:-1]
-    a = float(scenario.p_nf)
-    predictions = _row(a, [_pair_terms(r, n) for r, n in zip(evidence, window_demands)])
-    lifetimes = (_row(a, [_pair_terms(r, final - r) for r in evidence])
+    p_nfs = (scenario.p_nf,)
+    predictions = _rows(p_nfs, zip(evidence, window_demands))
+    lifetimes = (_rows(p_nfs, ((r, final - r) for r in evidence))
                  if scenario.include_remaining_lifetime else [None] * len(evidence))
     windows = zip(sizes, window_demands, evidence, predictions, lifetimes)
     threshold = scenario.confidence_threshold
@@ -186,7 +187,7 @@ def run_bootstrap(scenario: FleetScenario) -> BootstrapTrace:
 def check_feasibility(trace: BootstrapTrace) -> FeasibilityVerdict:
     """Summarize a trace: did every window clear its threshold, and by how much?"""
     failing = [w.window_index for w in trace.windows if not w.meets_threshold]
-    margins = [w.prediction.lower_bound - float(trace.threshold) for w in trace.windows]
+    margins = [w.prediction.lower_bound - trace.threshold for w in trace.windows]
     return FeasibilityVerdict(
         all_windows_pass=not failing,
         first_failing_window=failing[0] if failing else None,

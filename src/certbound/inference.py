@@ -14,7 +14,7 @@ For a point mass at q the predictive is
 
 All powers are evaluated as exp(k * log1p(-q)), so demand counts up to
 2**1022 are safe.  The minimum is the stationarity root's first term (see
-``_row``); ``posterior_predictive_discrete`` evaluates any finite prior's
+``_rows``); ``posterior_predictive_discrete`` evaluates any finite prior's
 predictive through its complement, to relative accuracy.  ``grid_worst_case``
 is a deliberately brute-force minimizer kept independent of the optimizer so
 the two can check each other.
@@ -25,11 +25,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .reliability import Probability, _count_text, check_demand_count
+from .reliability import _count_text, check_demand_count, check_probability
 
 __all__ = [
     "DiscretePrior",
@@ -48,7 +48,7 @@ _GRID_Q_MIN = 1e-15
 # right of the root) it takes 2.9 steps on average and at most 9 over
 # perfbench's sweep-grid pools of seeds 1-3 and 71-73, and 3 at r = 2**1022 - 1, n = 1.
 _NEWTON_STEP_CAP = 1000
-# Below this M the root estimate moves x by less than an ulp (see _row).
+# Below this M the root estimate moves x by less than an ulp (see _rows).
 _M_FLAT = math.log(2.0**-53)
 
 
@@ -64,11 +64,11 @@ class DiscretePrior:
     weights; ``p_nf`` plus the total atom weight must equal 1 within 1e-12.
     """
 
-    p_nf: Probability
+    p_nf: float
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p_nf", Probability(self.p_nf))
+        object.__setattr__(self, "p_nf", check_probability(self.p_nf))
         atoms = tuple((float(q), float(w)) for q, w in self.atoms)
         object.__setattr__(self, "atoms", atoms)
         if not atoms and self.p_nf != 1.0:
@@ -103,7 +103,7 @@ class SurvivalPrediction:
         return self.lower_bound - self.p_nf
 
 
-# _row fills each record's __dict__: an item write assigns no attribute, so __setattr__ never runs.
+# _rows fills each record's __dict__: an item write assigns no attribute, so __setattr__ never runs.
 _new = object.__new__
 
 
@@ -133,16 +133,6 @@ def _log_predictive_vec(a: float, lu: np.ndarray, r: int, n: int) -> np.ndarray:
     return log_num - log_den
 
 
-def _pair_terms(r: int, n: int) -> tuple:
-    """A validated (r, n) pair and its root terms: log1p(n/r), log n, log r, n and r + n as
-    floats, then -(r/n)*log1p(n/r), the pair's part of the root estimate's M (see
-    _row).  They are NaN where r or n is 0, since the bound is then an endpoint."""
-    if r == 0 or n == 0:
-        return r, n, math.nan, math.nan, math.nan, math.nan, math.nan, math.nan
-    c1 = math.log1p(n / r)
-    return r, n, c1, math.log(n), math.log(r), float(n), float(r + n), -(r / n) * c1
-
-
 def worst_case_survival(p_nf: float, r: int, n: int) -> SurvivalPrediction:
     """Minimum over q in [0, 1] of the point-prior predictive, with its location.
 
@@ -154,16 +144,17 @@ def worst_case_survival(p_nf: float, r: int, n: int) -> SurvivalPrediction:
     is the global minimum and is returned directly.  The root is found in
     x = log(1 - q), so the bound stays accurate where 1 - q underflows.
     """
-    a = float(Probability(p_nf))
-    return _row(a, (_pair_terms(check_demand_count(r, "r"), check_demand_count(n, "n")),))[0]
+    a = check_probability(p_nf)
+    return _rows((a,), ((check_demand_count(r, "r"), check_demand_count(n, "n")),))[0]
 
 
-def _row(a: float, pairs: Sequence[tuple]) -> list[SurvivalPrediction]:
-    """worst_case_survival at one validated a for each pair from _pair_terms, in order.
+def _rows(p_nfs: Iterable[float], pairs: Iterable[tuple[int, int]]) -> list[SurvivalPrediction]:
+    """worst_case_survival for each validated a in p_nfs (outermost) and (r, n) in pairs.
 
-    The row's logs are taken once.  A cell's float operations, and their
-    order, do not depend on the other pairs, so every row is bit-identical to
-    a lone call.  Interior bounds are clamped to [a, 1].
+    Each pair's root terms, log1p(n/r), log n, log r, n and r + n as floats and M's part
+    -(r/n)*log1p(n/r), are taken once (NaN where r or n is 0: an endpoint), and so are
+    each a's logs.  A cell's float operations, and their order, do not depend on the other
+    cells, so every row is bit-identical to a lone call.  Interior bounds are clamped to [a, 1].
 
     An interior cell (a in (0, 1), r, n >= 1) finds x* = log(1 - q*) at the
     unique interior minimum of g.  Clearing denominators in g'(q) = 0 and
@@ -211,50 +202,58 @@ def _row(a: float, pairs: Sequence[tuple]) -> list[SurvivalPrediction]:
     |e3| <= eps*(|x|*(n*A + s*B) + 2).  Summed, the error is at most
     eps*(2*c1 + log n + log r + 18): 1.2e-14 for counts up to 10**12.
     """
+    terms = []
+    for r, n in pairs:
+        if r == 0 or n == 0:
+            terms.append((r, n, math.nan, math.nan, math.nan, math.nan, math.nan, math.nan))
+        else:
+            c1 = math.log1p(n / r)
+            terms.append((r, n, c1, math.log(n), math.log(r), float(n), float(r + n), -(r / n) * c1))
     rows = []
-    interior = 0.0 < a < 1.0
-    if interior:
-        d = math.log1p(-a) - math.log(a)
-    for r, n, c1, log_n, log_r, n_f, s_f, m_rn in pairs:
-        if interior and r and n:
-            c2, m = d + log_n - log_r, d + m_rn
-            x = -c1 / n_f
-            if m > 1.0:
-                y = math.log(m)
-                x -= (m - y + y / m) / s_f
-            elif m > _M_FLAT:
-                y = math.exp(m)
-                x -= y * (2.0 + y) / ((2.0 + 3.0 * y) * s_f)
-            for i in range(_NEWTON_STEP_CAP):
-                # F and F' from the same two exponentials, the larger one factored out.
-                t1, t2 = c1 + n_f * x, c2 + s_f * x
-                if t1 >= t2:
-                    e = math.exp(t2 - t1)
-                    x_next = x - (t1 + math.log1p(e)) * (1.0 + e) / (n_f + s_f * e)
+    for a in p_nfs:
+        interior = 0.0 < a < 1.0
+        if interior:
+            d = math.log1p(-a) - math.log(a)
+        for r, n, c1, log_n, log_r, n_f, s_f, m_rn in terms:
+            if interior and r and n:
+                c2, m = d + log_n - log_r, d + m_rn
+                x = -c1 / n_f
+                if m > 1.0:
+                    y = math.log(m)
+                    x -= (m - y + y / m) / s_f
+                elif m > _M_FLAT:
+                    y = math.exp(m)
+                    x -= y * (2.0 + y) / ((2.0 + 3.0 * y) * s_f)
+                for i in range(_NEWTON_STEP_CAP):
+                    # F and F' from the same two exponentials, the larger one factored out.
+                    t1, t2 = c1 + n_f * x, c2 + s_f * x
+                    if t1 >= t2:
+                        e = math.exp(t2 - t1)
+                        x_next = x - (t1 + math.log1p(e)) * (1.0 + e) / (n_f + s_f * e)
+                    else:
+                        e = math.exp(t1 - t2)
+                        x_next = x - (t2 + math.log1p(e)) * (1.0 + e) / (s_f + n_f * e)
+                    if x_next >= x and i:
+                        break
+                    x = x_next
                 else:
-                    e = math.exp(t1 - t2)
-                    x_next = x - (t2 + math.log1p(e)) * (1.0 + e) / (s_f + n_f * e)
-                if x_next >= x and i:
-                    break
-                x = x_next
-            else:
-                raise ArithmeticError(
-                    f"stationarity root took over {_NEWTON_STEP_CAP} Newton steps"
-                )
-            g = math.exp(t1)
-            bound, q = a if g < a else 1.0 if g > 1.0 else g, -math.expm1(x)
-        elif n == 0 or a == 1.0:
-            bound, q = 1.0, 0.0
-        else:  # r == 0 or a == 0: the floor
-            bound, q = a, 1.0
-        row = _new(SurvivalPrediction)
-        fields = row.__dict__
-        fields["p_nf"] = a
-        fields["r"] = r
-        fields["n"] = n
-        fields["lower_bound"] = bound
-        fields["worst_case_q"] = q
-        rows.append(row)
+                    raise ArithmeticError(
+                        f"stationarity root took over {_NEWTON_STEP_CAP} Newton steps"
+                    )
+                g = math.exp(t1)
+                bound, q = a if g < a else 1.0 if g > 1.0 else g, -math.expm1(x)
+            elif n == 0 or a == 1.0:
+                bound, q = 1.0, 0.0
+            else:  # r == 0 or a == 0: the floor
+                bound, q = a, 1.0
+            row = _new(SurvivalPrediction)
+            fields = row.__dict__
+            fields["p_nf"] = a
+            fields["r"] = r
+            fields["n"] = n
+            fields["lower_bound"] = bound
+            fields["worst_case_q"] = q
+            rows.append(row)
     return rows
 
 
@@ -267,7 +266,7 @@ def grid_worst_case(p_nf: float, r: int, n: int, K: int) -> SurvivalPrediction:
     to the smallest q.  This is the oracle worst_case_survival is checked
     against; it deliberately shares no search logic with the optimizer.
     """
-    a = float(Probability(p_nf))
+    a = check_probability(p_nf)
     r = check_demand_count(r, "r")
     n = check_demand_count(n, "n")
     if K < 2:
@@ -283,7 +282,7 @@ def grid_worst_case(p_nf: float, r: int, n: int, K: int) -> SurvivalPrediction:
     return SurvivalPrediction(a, r, n, min(1.0, max(a, g)), float(qs[i]))
 
 
-def posterior_predictive_discrete(prior: DiscretePrior, r: int, n: int) -> Probability:
+def posterior_predictive_discrete(prior: DiscretePrior, r: int, n: int) -> float:
     """Exact Bayesian posterior predictive for a finite mixture prior,
 
         (p_nf + sum_i w_i (1 - q_i)**(r + n)) / (p_nf + sum_i w_i (1 - q_i)**r),
@@ -295,7 +294,7 @@ def posterior_predictive_discrete(prior: DiscretePrior, r: int, n: int) -> Proba
             prior gives the observed r failure-free demands no probability.
     """
     c = _complement(prior, check_demand_count(r, "r"), check_demand_count(n, "n"))
-    return Probability(1.0 - c)
+    return check_probability(1.0 - c)
 
 
 def _complement(prior: DiscretePrior, r: int, n: int) -> float:
@@ -327,7 +326,7 @@ def _complement(prior: DiscretePrior, r: int, n: int) -> float:
     Raises:
         DegenerateConditioningError: if every term is 0 (m = -inf).
     """
-    a = float(prior.p_nf)
+    a = prior.p_nf
     xs = [math.log1p(-q) if q < 1.0 else -math.inf for q, _ in prior.atoms]
     # x - 0.0 == x, so every term with a > 0, or with every q_i = 1, is as without the shift.
     x_max = max(xs) if a == 0.0 and max(xs) > -math.inf else 0.0
@@ -355,13 +354,9 @@ def sweep(
     before an empty grid is refused.  Each (r, n) pair's root terms and each p_nf's
     logs are taken once.  Rows come in input order, p_nf outermost and n innermost.
     """
-    p_nfs = [float(Probability(p)) for p in p_nf_grid]
+    p_nfs = [check_probability(p) for p in p_nf_grid]
     rs = [check_demand_count(r, "r") for r in r_grid]
     ns = [check_demand_count(n, "n") for n in n_grid]
     if not p_nfs or not rs or not ns:
         raise ValueError("sweep grids must be non-empty")
-    pairs = [_pair_terms(r, n) for r in rs for n in ns]
-    rows = []
-    for a in p_nfs:
-        rows.extend(_row(a, pairs))
-    return rows
+    return _rows(p_nfs, ((r, n) for r in rs for n in ns))

@@ -6,6 +6,8 @@ fails); otherwise every demand fails independently with probability
 probability of surviving a run of independent demands under that mixture, so
 the powers ``(1 - q)**k`` are evaluated in the log domain, accurate for q near
 0 and any count below 2**1022; the README gives the domain the tests cover.
+Probabilities and counts are plain floats and ints, validated where they enter
+by ``check_probability`` and ``check_demand_count``.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "Probability",
     "MixtureModel",
     "MonteCarloEstimate",
     "InfeasibleScaleError",
+    "check_probability",
     "check_demand_count",
     "pfd",
     "survival_probability",
@@ -44,33 +46,19 @@ class InfeasibleScaleError(ValueError):
     """A simulation was requested at a scale the sampler cannot resolve."""
 
 
-class Probability(float):
-    """A float constrained to [0, 1].
-
-    Rejects NaN, infinities and out-of-range values at construction instead
-    of clamping, so configuration errors surface immediately.  Instances are
-    ordinary floats in arithmetic.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, value: float) -> "Probability":
-        v = float(value)
-        if not math.isfinite(v) or not 0.0 <= v <= 1.0:
-            raise ValueError(f"probability must be finite and in [0, 1], got {value!r}")
-        if v == 0.0:
-            v = 0.0  # -0.0 would print as "-0"
-        return super().__new__(cls, v)
-
-    def __repr__(self) -> str:  # matches construction
-        return f"Probability({float(self)!r})"
-
-
 def _count_text(n: int) -> str:
     """n for a message: whole up to 20 digits, else by its bit length."""
     if abs(n) < 10**20:
         return str(n)
     return f"a {'negative ' if n < 0 else ''}{n.bit_length()}-bit integer"
+
+
+def check_probability(value: float) -> float:
+    """Validate a probability: float(value) finite and in [0, 1]; -0.0 comes back as 0.0."""
+    v = float(value)
+    if not math.isfinite(v) or not 0.0 <= v <= 1.0:
+        raise ValueError(f"probability must be finite and in [0, 1], got {value!r}")
+    return 0.0 if v == 0.0 else v  # -0.0 would print as "-0"
 
 
 def check_demand_count(value: int, name: str = "count") -> int:
@@ -98,12 +86,12 @@ def _check_positive_count(value: int, name: str) -> None:
 class MixtureModel:
     """Fault-freeness confidence plus the per-demand failure probability if faulty."""
 
-    p_nf: Probability
-    p_f_given_faulty: Probability
+    p_nf: float
+    p_f_given_faulty: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p_nf", Probability(self.p_nf))
-        object.__setattr__(self, "p_f_given_faulty", Probability(self.p_f_given_faulty))
+        object.__setattr__(self, "p_nf", check_probability(self.p_nf))
+        object.__setattr__(self, "p_f_given_faulty", check_probability(self.p_f_given_faulty))
 
 
 class MonteCarloEstimate(NamedTuple):
@@ -115,16 +103,16 @@ class MonteCarloEstimate(NamedTuple):
     seed: int
 
 
-def pfd(model: MixtureModel) -> Probability:
+def pfd(model: MixtureModel) -> float:
     """Unconditional probability of failure on a single demand.
 
     Fault-free software never fails, so only the faulty branch contributes:
     ``p_f_given_faulty * (1 - p_nf)``.
     """
-    return Probability(model.p_f_given_faulty * (1.0 - model.p_nf))
+    return check_probability(model.p_f_given_faulty * (1.0 - model.p_nf))
 
 
-def survival_probability(model: MixtureModel, n: int) -> Probability:
+def survival_probability(model: MixtureModel, n: int) -> float:
     """Probability of surviving n independent demands without failure.
 
     ``p_nf + (1 - p_nf) * (1 - p_f_given_faulty)**n``.  The first term is a
@@ -132,10 +120,10 @@ def survival_probability(model: MixtureModel, n: int) -> Probability:
     """
     n = check_demand_count(n, "n")
     if n == 0:
-        return Probability(1.0)
+        return 1.0
     q = model.p_f_given_faulty
     survive = 0.0 if q == 1.0 else math.exp(n * math.log1p(-q))
-    return Probability(model.p_nf + (1.0 - model.p_nf) * survive)
+    return check_probability(model.p_nf + (1.0 - model.p_nf) * survive)
 
 
 def monte_carlo_survival(
@@ -168,8 +156,7 @@ def monte_carlo_survival(
         )
 
     rng = np.random.default_rng(seed)
-    p_nf = float(model.p_nf)
-    q = float(model.p_f_given_faulty)
+    p_nf, q = model.p_nf, model.p_f_given_faulty
 
     survivors = 0
     for start in range(0, trials, _TRIAL_CHUNK):

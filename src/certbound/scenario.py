@@ -35,7 +35,7 @@ from .fleet import (
     LogisticGrowth,
 )
 from .inference import DiscretePrior
-from .reliability import _SHORT, MixtureModel, Probability, check_demand_count
+from .reliability import _SHORT, MixtureModel, check_demand_count, check_probability
 
 __all__ = [
     "ScenarioError",
@@ -70,8 +70,8 @@ class ScenarioValidationError(ScenarioError):
 
 
 class ModelSection(NamedTuple):
-    p_nf: Probability
-    p_f_given_faulty: Optional[Probability] = None
+    p_nf: float
+    p_f_given_faulty: Optional[float] = None
 
     def mixture(self) -> MixtureModel:
         if self.p_f_given_faulty is None:
@@ -230,7 +230,7 @@ def _tagged(*variants: tuple[type, dict[str, _Kind]]) -> _Kind:
 
 _NUMBER = _scalar("a number", (int, float), float, float)
 _COUNT = _scalar("an integer", (int,), check_demand_count, int)
-_PROBABILITY = _scalar("a number", (int, float), lambda v: Probability(float(v)), float)
+_PROBABILITY = _scalar("a number", (int, float), lambda v: check_probability(float(v)), float)
 _STR = _scalar("a string", (str,))
 _BOOL = _scalar("a boolean", (bool,))
 

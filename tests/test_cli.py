@@ -248,6 +248,24 @@ class TestBootstrap:
         assert captured.out == ""
         assert "initial_evidence + all window demands must be < 2**1022" in captured.err
 
+    def test_window_count_past_cap_prints_nothing(self, capsys, tmp_path):
+        text = (
+            "bootstrap:\n"
+            "  growth: {kind: constant, initial_fleet: 1}\n"
+            "  demands_per_aircraft_per_window: 1\n"
+            "  window_count: 100001\n"
+            "  p_nf: 0.9\n"
+            "  initial_evidence: 0\n"
+            "  confidence_threshold: 0.9\n"
+        )
+        path = tmp_path / "long.yaml"
+        path.write_text(text, encoding="utf-8")
+        code = main(["bootstrap", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "window_count must be <= 100000, got 100001" in captured.err
+
     def test_remaining_lifetime_is_not_solved(self, capsys, tmp_path, monkeypatch):
         received = []
 

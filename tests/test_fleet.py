@@ -222,6 +222,15 @@ class TestRunBootstrap:
         with pytest.raises(ValueError, match=message):
             run_bootstrap(scenario)
 
+    def test_window_count_cap(self):
+        # A run holds every window at once, so the count is refused before any list is built.
+        trace = run_bootstrap(constant_scenario(growth=ConstantGrowth(1), window_count=10**5))
+        assert len(trace.windows) == 10**5
+        with pytest.raises(ValueError, match=r"^window_count must be <= 100000, got 100001$"):
+            constant_scenario(window_count=10**5 + 1)
+        with pytest.raises(ValueError, match=r"^window_count must be <= 100000, got a 84-bit"):
+            constant_scenario(window_count=10**25)
+
     def test_negative_initial_evidence_raises(self):
         with pytest.raises(ValueError, match="initial_evidence"):
             constant_scenario(initial_evidence=-1)

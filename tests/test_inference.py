@@ -22,7 +22,7 @@ from certbound.inference import (
     sweep,
     worst_case_survival,
 )
-from certbound.reliability import MixtureModel, Probability, survival_probability
+from certbound.reliability import MixtureModel, survival_probability
 
 from oracles import (
     discrete_complement_mp,
@@ -427,7 +427,7 @@ class TestDiscretePrior:
         assert value == pytest.approx(
             float(point_predictive_mp(0.9, 1e-3, 10**3, 10**4)), abs=1e-14
         )
-        assert type(value) is Probability
+        assert type(value) is float
 
     def test_degenerate_conditioning_raises(self):
         prior = DiscretePrior(p_nf=0.0, atoms=((1.0, 1.0),))

@@ -9,6 +9,8 @@ import pytest
 import certbound
 from certbound import assessment, fleet, inference, reliability, scenario
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
 EXPORTED = {
     # assessment
     "ASSURANCE_LEVEL_OBJECTIVES", "ObjectiveGroupAssessment", "aggregate_fault_freeness",
@@ -20,8 +22,8 @@ EXPORTED = {
     "DegenerateConditioningError", "DiscretePrior", "SurvivalPrediction", "grid_worst_case",
     "posterior_predictive_discrete", "sweep", "worst_case_survival",
     # reliability
-    "InfeasibleScaleError", "MixtureModel", "MonteCarloEstimate", "Probability",
-    "check_demand_count", "monte_carlo_survival", "pfd", "survival_probability",
+    "InfeasibleScaleError", "MixtureModel", "MonteCarloEstimate", "check_demand_count",
+    "check_probability", "monte_carlo_survival", "pfd", "survival_probability",
     # scenario
     "AssessmentSpec", "Evidence", "ModelSection", "Query", "ScenarioError", "ScenarioFile",
     "ScenarioIOError", "ScenarioSyntaxError", "ScenarioValidationError", "SweepGrids",
@@ -61,13 +63,13 @@ def _samples() -> dict:
     group = c.ObjectiveGroupAssessment("6.3.2", 7, 0.999)
     growth = c.LinearGrowth(3, 2)
     fleet_scenario = c.FleetScenario(growth, 10, 2, 0.9, 0, 0.5, True)
-    model, evidence, query = c.ModelSection(c.Probability(0.9), None), c.Evidence(5), c.Query(n=4)
+    model, evidence, query = c.ModelSection(0.9, None), c.Evidence(5), c.Query(n=4)
     prior = c.DiscretePrior(0.9, ((1e-2, 0.1),))
     assessment_spec = c.AssessmentSpec("conservative", (group,))
     grids = c.SweepGrids((0.9,), (0, 5), (4,))
     return {type(obj): obj for obj in [
         prediction, window, group, growth, fleet_scenario, model, evidence, query, prior,
-        assessment_spec, grids, c.BootstrapTrace((window,), 30, c.Probability(0.5)),
+        assessment_spec, grids, c.BootstrapTrace((window,), 30, 0.5),
         c.FeasibilityVerdict(True, None, 30, 0.45), c.MonteCarloEstimate(0.95, 0.02, 100, 7),
         c.MixtureModel(0.9, 0.01), c.ConstantGrowth(3), c.LogisticGrowth(3, 0.35, 80),
         c.ScenarioFile(model, evidence, query, prior, assessment_spec, fleet_scenario, grids),
@@ -98,3 +100,39 @@ def test_record_invariants(cls):
     for name in names:
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
+
+
+# Every field that holds a probability, by record class.
+PROBABILITY_FIELDS = {
+    certbound.MixtureModel: ("p_nf", "p_f_given_faulty"),
+    certbound.DiscretePrior: ("p_nf",),
+    certbound.FleetScenario: ("p_nf", "confidence_threshold"),
+    certbound.ObjectiveGroupAssessment: ("p_no_fault",),
+    certbound.ModelSection: ("p_nf", "p_f_given_faulty"),
+    certbound.BootstrapTrace: ("threshold",),
+    certbound.SurvivalPrediction: ("p_nf", "lower_bound", "worst_case_q"),
+}
+
+
+def test_probabilities_are_plain_floats():
+    shipped = [certbound.parse_scenario(SCENARIOS / name)
+               for name in ("fleet_bootstrap.yaml", "point_prediction.yaml")]
+    records = [*_samples().values(), *shipped]
+    records += [part for f in shipped for part in f if part is not None]
+    records += [g for f in shipped if f.assessment for g in f.assessment.groups]
+    trace = certbound.run_bootstrap(shipped[0].bootstrap)
+    records += [trace, trace.windows[0].prediction]
+    assert {type(record) for record in records} >= set(PROBABILITY_FIELDS)
+    for record in records:
+        for name in PROBABILITY_FIELDS.get(type(record), ()):
+            value = getattr(record, name)
+            assert value is None or type(value) is float, (type(record).__name__, name)
+        assert "Probability(" not in repr(record)
+    model = certbound.MixtureModel(0.9, 0.01)
+    prior = certbound.DiscretePrior(0.9, ((1e-2, 0.1),))
+    group = certbound.ObjectiveGroupAssessment("6.3.2", 7, 0.999)
+    results = [certbound.pfd(model), certbound.survival_probability(model, 100),
+               certbound.posterior_predictive_discrete(prior, 10, 100),
+               certbound.aggregate_fault_freeness([group], "conservative"),
+               certbound.aggregate_fault_freeness([group], "independent")]
+    assert [type(value) for value in results] == [float] * 5

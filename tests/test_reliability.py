@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from certbound.reliability import (
     InfeasibleScaleError,
     MixtureModel,
-    Probability,
     check_demand_count,
+    check_probability,
     monte_carlo_survival,
     pfd,
     survival_probability,
@@ -27,14 +27,14 @@ class TestProbability:
     @pytest.mark.parametrize("bad", [-0.1, 1.0000001, 1.5, math.nan, math.inf, -math.inf])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
-            Probability(bad)
+            check_probability(bad)
 
     @given(probabilities)
     def test_accepts_unit_interval(self, p):
-        assert float(Probability(p)) == p
+        assert check_probability(p).hex() == p.hex()
 
     def test_negative_zero_is_normalised(self):
-        assert math.copysign(1.0, Probability(-0.0)) == 1.0
+        assert math.copysign(1.0, check_probability(-0.0)) == 1.0
 
 
 class TestDemandCount:
