@@ -16,10 +16,11 @@ point, not implemented.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .reliability import _SHORT, _check_positive_count, check_probability
+from .reliability import _SHORT, _store_count, check_probability
 
 __all__ = [
     "ObjectiveGroupAssessment",
@@ -45,7 +46,7 @@ class ObjectiveGroupAssessment:
     def __post_init__(self) -> None:
         if not self.group_id:
             raise ValueError("group_id must be non-empty")
-        _check_positive_count(self.objective_count, "objective_count")
+        _store_count(self, "objective_count")
         object.__setattr__(self, "p_no_fault", check_probability(self.p_no_fault))
 
 
@@ -61,9 +62,9 @@ def aggregate_fault_freeness(
     groups = tuple(groups)
     if not groups:
         raise ValueError("groups must be non-empty")
-    ids = [g.group_id for g in groups]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+    counts = Counter(g.group_id for g in groups)
+    if len(counts) != len(groups):
+        dupes = sorted(i for i, k in counts.items() if k > 1)
         raise ValueError(f"duplicate group ids: {_SHORT.repr(dupes)}")
     if mode == "conservative":
         return check_probability(max(0.0, 1.0 - math.fsum(1.0 - g.p_no_fault for g in groups)))

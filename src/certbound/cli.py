@@ -30,9 +30,7 @@ from .inference import posterior_predictive_discrete, sweep
 from .reliability import check_demand_count, monte_carlo_survival, survival_probability
 from .scenario import (
     ScenarioFile,
-    ScenarioIOError,
     ScenarioSyntaxError,
-    ScenarioValidationError,
     parse_scenario,
     scenario_from_mapping,
 )
@@ -73,7 +71,7 @@ def _resolve(args: argparse.Namespace) -> ScenarioFile:
     if args.scenario is not None:
         if given:
             flags = ", ".join("--" + dest.replace("_", "-") for dest in given)
-            raise ScenarioValidationError(f"--scenario cannot be combined with {flags}")
+            raise ValueError(f"--scenario cannot be combined with {flags}")
         scenario = parse_scenario(args.scenario)
     else:
         raw = {section: {} for section, _ in args.inline.values()}
@@ -83,7 +81,7 @@ def _resolve(args: argparse.Namespace) -> ScenarioFile:
         scenario = scenario_from_mapping(raw)
     missing = [name for name in args.sections if getattr(scenario, name) is None]
     if missing:
-        raise ScenarioValidationError(f"{args.command}: the scenario lacks sections {missing}")
+        raise ValueError(f"{args.command}: the scenario lacks sections {missing}")
     return scenario
 
 
@@ -98,7 +96,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     scenario = _resolve(args)
     p_nf, r = scenario.model.p_nf, scenario.evidence.r
     if scenario.prior is not None and scenario.prior.p_nf != p_nf:
-        raise ScenarioValidationError(
+        raise ValueError(
             f"prior.p_nf ({scenario.prior.p_nf!r}) must equal model.p_nf ({p_nf!r}): "
             "the bound holds only for priors with the assessed fault-free mass"
         )
@@ -286,13 +284,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioIOError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
     except ScenarioSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX_ERROR
-    except (ScenarioValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
 

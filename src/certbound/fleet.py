@@ -19,7 +19,7 @@ from itertools import accumulate
 from typing import NamedTuple, Optional, Union
 
 from .inference import SurvivalPrediction, _rows
-from .reliability import _check_positive_count, _count_text, check_demand_count, check_probability
+from .reliability import _count_text, _store_count, check_demand_count, check_probability
 
 __all__ = [
     "ConstantGrowth",
@@ -44,7 +44,7 @@ class ConstantGrowth:
     kind = "constant"
 
     def __post_init__(self) -> None:
-        _check_positive_count(self.initial_fleet, "initial_fleet")
+        _store_count(self, "initial_fleet")
 
     def fleet_size(self, window_index: int) -> int:
         return self.initial_fleet
@@ -60,8 +60,8 @@ class LinearGrowth:
     kind = "linear"
 
     def __post_init__(self) -> None:
-        _check_positive_count(self.initial_fleet, "initial_fleet")
-        check_demand_count(self.added_per_window, "added_per_window")
+        _store_count(self, "initial_fleet")
+        _store_count(self, "added_per_window", check_demand_count)
 
     def fleet_size(self, window_index: int) -> int:
         return self.initial_fleet + self.added_per_window * window_index
@@ -78,10 +78,10 @@ class LogisticGrowth:
     kind = "logistic"
 
     def __post_init__(self) -> None:
-        _check_positive_count(self.initial_fleet, "initial_fleet")
+        _store_count(self, "initial_fleet")
         if not (math.isfinite(self.growth_rate) and self.growth_rate >= 0.0):
             raise ValueError(f"growth_rate must be finite and >= 0, got {self.growth_rate}")
-        check_demand_count(self.carrying_capacity, "carrying_capacity")
+        _store_count(self, "carrying_capacity", check_demand_count)
         if self.carrying_capacity < self.initial_fleet:
             raise ValueError(
                 f"carrying_capacity {_count_text(self.carrying_capacity)} below "
@@ -118,10 +118,10 @@ class FleetScenario:
     include_remaining_lifetime: bool = False
 
     def __post_init__(self) -> None:
-        _check_positive_count(self.demands_per_aircraft_per_window, "demands_per_aircraft_per_window")
-        if check_demand_count(self.window_count, "window_count") > 10**5:  # ~450 B a window
+        _store_count(self, "demands_per_aircraft_per_window")
+        if _store_count(self, "window_count", check_demand_count) > 10**5:  # ~450 B a window
             raise ValueError(f"window_count must be <= 100000, got {_count_text(self.window_count)}")
-        check_demand_count(self.initial_evidence, "initial_evidence")
+        _store_count(self, "initial_evidence", check_demand_count)
         object.__setattr__(self, "p_nf", check_probability(self.p_nf))
         object.__setattr__(self, "confidence_threshold", check_probability(self.confidence_threshold))
 

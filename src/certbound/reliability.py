@@ -16,7 +16,7 @@ import math
 import operator
 import reprlib
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,10 +76,16 @@ def check_demand_count(value: int, name: str = "count") -> int:
     return n
 
 
-def _check_positive_count(value: int, name: str) -> None:
+def _check_positive_count(value: int, name: str) -> int:
     """check_demand_count, for a count that must also be at least 1."""
-    if check_demand_count(value, name) < 1:
+    if (n := check_demand_count(value, name)) < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
+    return n
+
+
+def _store_count(record: object, name: str, check: Callable = _check_positive_count) -> int:
+    object.__setattr__(record, name, n := check(getattr(record, name), name))
+    return n
 
 
 @dataclass(frozen=True)
@@ -149,7 +155,7 @@ def monte_carlo_survival(
             geometric draws saturate and can no longer exceed n.
     """
     n = check_demand_count(n, "n")
-    _check_positive_count(trials, "trials")
+    trials = _check_positive_count(trials, "trials")
     if n >= _GEOMETRIC_CAP:
         raise InfeasibleScaleError(
             f"n must be < 2**63 - 1, where geometric draws saturate, got {_count_text(n)}"

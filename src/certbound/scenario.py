@@ -38,10 +38,7 @@ from .inference import DiscretePrior
 from .reliability import _SHORT, MixtureModel, check_demand_count, check_probability
 
 __all__ = [
-    "ScenarioError",
-    "ScenarioIOError",
     "ScenarioSyntaxError",
-    "ScenarioValidationError",
     "ModelSection",
     "Evidence",
     "Query",
@@ -53,20 +50,8 @@ __all__ = [
 ]
 
 
-class ScenarioError(Exception):
-    """Base class for scenario-file problems."""
-
-
-class ScenarioIOError(ScenarioError):
-    """The scenario file could not be read."""
-
-
-class ScenarioSyntaxError(ScenarioError):
+class ScenarioSyntaxError(Exception):
     """The scenario file is not well-formed YAML."""
-
-
-class ScenarioValidationError(ScenarioError):
-    """The scenario file is well-formed but violates the schema."""
 
 
 class ModelSection(NamedTuple):
@@ -75,9 +60,7 @@ class ModelSection(NamedTuple):
 
     def mixture(self) -> MixtureModel:
         if self.p_f_given_faulty is None:
-            raise ScenarioValidationError(
-                "model.p_f_given_faulty: required for survival computations"
-            )
+            raise ValueError("model.p_f_given_faulty: required for survival computations")
         return MixtureModel(p_nf=self.p_nf, p_f_given_faulty=self.p_f_given_faulty)
 
 
@@ -123,10 +106,10 @@ class ScenarioFile(NamedTuple):
     sweep: Optional[SweepGrids] = None
 
 
-def _fail(path: str, message: str, value: Any = ...) -> "ScenarioValidationError":
+def _fail(path: str, message: str, value: Any = ...) -> ValueError:
     if value is not ...:
         message = f"{message}, got {_SHORT.repr(value)}"
-    return ScenarioValidationError(f"{path}: {message}")
+    return ValueError(f"{path}: {message}")
 
 
 def _sorted_keys(keys: set) -> str:
@@ -135,7 +118,8 @@ def _sorted_keys(keys: set) -> str:
 
 
 def _build(build: Callable, value: Any, path: str) -> Any:
-    """``build(value)``, with a ValueError or OverflowError it raises reported at ``path``."""
+    """``build(value)``, with a ValueError or OverflowError it raises reported at ``path``.
+    A ``_fail`` is a ValueError, so no kind loads inside ``build``: ``_record`` loads first."""
     try:
         return build(value)
     except (ValueError, OverflowError) as exc:
@@ -311,15 +295,12 @@ def parse_scenario(path: "str | Path") -> ScenarioFile:
     """Load and validate a scenario file.
 
     Raises:
-        ScenarioIOError: the file does not exist or cannot be read.
+        OSError: the file does not exist or cannot be read.
         ScenarioSyntaxError: the file is not valid YAML, nests too deep to load,
             or holds a scalar yaml cannot construct.
-        ScenarioValidationError: the content violates the schema.
+        ValueError: the content violates the schema; the message names the key path.
     """
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise ScenarioIOError(f"cannot read scenario file {path}: {exc}") from exc
+    data = Path(path).read_bytes()
     try:
         # yaml decodes the bytes itself, so a bad encoding is a YAMLError too.  It
         # recurses once per nesting level, and its constructors raise ValueError on

@@ -1,3 +1,6 @@
+import time
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +25,10 @@ group_probs = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_
 class TestLevelPreset:
     def test_objective_counts(self):
         assert ASSURANCE_LEVEL_OBJECTIVES == {"A": 71, "B": 69, "C": 62, "D": 26}
+
+
+def test_numpy_objective_count_is_stored_as_int():
+    assert type(ObjectiveGroupAssessment("6.3.2", np.int64(7), 0.99).objective_count) is int
 
 
 class TestAggregate:
@@ -67,6 +74,16 @@ class TestAggregate:
         with pytest.raises(ValueError, match="^duplicate group ids: ") as exc:
             aggregate_fault_freeness(groups, "conservative")
         assert len(str(exc.value)) <= 200
+
+    def test_duplicate_ids_found_in_linear_time(self):
+        ids = [f"g{i}" for i in range(19_998)] + ["g7", "g42"]
+        groups = [ObjectiveGroupAssessment(i, 1, 0.99) for i in ids]
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as exc:
+            aggregate_fault_freeness(groups, "conservative")
+        elapsed = time.perf_counter() - start
+        assert str(exc.value) == "duplicate group ids: ['g42', 'g7']"
+        assert elapsed < 1.0
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

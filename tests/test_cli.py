@@ -342,8 +342,10 @@ class TestExitCodes:
         assert "--scenario" in capsys.readouterr().out
 
     def test_missing_scenario_file(self, capsys, tmp_path):
-        code, _ = run(capsys, "predict", "--scenario", str(tmp_path / "missing.yaml"))
+        path = str(tmp_path / "missing.yaml")
+        code = main(["predict", "--scenario", path])
         assert code == 2
+        assert capsys.readouterr().err.count(path) == 1
 
     @pytest.mark.parametrize(
         "command, scenario", [("bootstrap", "fleet_bootstrap.yaml"), ("sweep", "sweep_grid.yaml")]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -230,6 +231,24 @@ class TestRunBootstrap:
             constant_scenario(window_count=10**5 + 1)
         with pytest.raises(ValueError, match=r"^window_count must be <= 100000, got a 84-bit"):
             constant_scenario(window_count=10**25)
+
+    @pytest.mark.parametrize("growth", [
+        lambda count: ConstantGrowth(count(2**20)),
+        lambda count: LinearGrowth(count(2**20), count(1)),
+        lambda count: LogisticGrowth(count(2**20), 0.5, count(2**21)),
+    ], ids=["constant", "linear", "logistic"])
+    def test_numpy_counts_are_stored_as_int(self, growth):
+        # 2**20 aircraft flying 2**44 demands each is 2**64 demands a window:
+        # an int64 product wraps, so counts kept as np.int64 give wrong windows.
+        scenario = lambda count: FleetScenario(
+            growth(count), count(2**44), count(3), 0.9, count(0), 0.5)
+        wide = scenario(np.int64)
+        stored = [v for k, v in vars(wide.growth).items() if k != "growth_rate"]
+        stored += [wide.demands_per_aircraft_per_window, wide.window_count, wide.initial_evidence]
+        assert [type(v) for v in stored] == [int] * len(stored)
+        expected = run_bootstrap(scenario(int))
+        assert expected.windows[0].window_demands >= 2**64
+        assert run_bootstrap(wide).windows == expected.windows
 
     def test_negative_initial_evidence_raises(self):
         with pytest.raises(ValueError, match="initial_evidence"):

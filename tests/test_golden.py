@@ -143,7 +143,7 @@ CHANGED = {
         "0.9987614959529437": "0.9987614959529436",  # -6.5e-17
         "0.999799877973426": "0.9997998779734258",  # -5.7e-17
         # The root starts at a closed-form estimate of itself (see
-        # inference._row), so its last steps can end an ulp or
+        # inference._rows), so its last steps can end an ulp or
         # two away: these worst_case_q values moved by at most 1.9e-16
         # relative.  Each is followed by its relative distance to the 60-digit
         # root.  Windows 2 and 32 are back at their recorded values, +8.6e-17

@@ -93,7 +93,7 @@ def huge_count_digits(r, n) -> int:
 
 
 def root_tolerance(p_nf, r, n, x) -> float:
-    """First-order bound on inference._row's relative error in the root x, with
+    """First-order bound on inference._rows's relative error in the root x, with
     eps = 2**-53 (exp, log, log1p within 2*eps).  t1 = c1 + n*x is off by at most
     eps*(3*c1 + 2*n*|x| + |t1|) and t2 = c2 + s*x (s = r + n) by k2 + eps*(2*s*|x| + |t2|),
     k2 the roundings of c2 = log1p(-a) - log a + log n - log r.  F = log(e**t1 + e**t2)
@@ -116,7 +116,7 @@ def root_tolerance(p_nf, r, n, x) -> float:
 
 
 def kernel_root(p_nf, r, n) -> float:
-    """The root x = log(1 - q) that inference._row found for an interior cell: the
+    """The root x = log(1 - q) that inference._rows found for an interior cell: the
     argument of the one expm1 call that turns x into worst_case_q."""
     with mock.patch.object(inference.math, "expm1", wraps=math.expm1) as expm1:
         worst_case_survival(p_nf, r, n)
@@ -251,7 +251,7 @@ class TestWorstCase:
     @example(0.99, 100, 10**4)
     @settings(max_examples=60, deadline=None)
     def test_interior_bound_within_derived_error(self, p_nf, r, n):
-        # The first-order error bound derived in inference._row's docstring.
+        # The first-order error bound derived in inference._rows's docstring.
         exact = point_predictive_log1m_mp(p_nf, stationarity_root_log1m_mp(p_nf, r, n), r, n)
         tol = 2.0**-53 * (2 * math.log1p(n / r) + math.log(n) + math.log(r) + 18)
         assert tol <= 2e-14
@@ -278,7 +278,7 @@ class TestWorstCase:
     @example(0.5, 2**1021, 2**1021)
     @settings(max_examples=30, deadline=None)
     def test_bound_within_derived_error_to_the_count_cap(self, p_nf, r, n):
-        # _row's derived bound, which grows to 2.4e-13 at r = 1, n = 2**1021.
+        # _rows's derived bound, which grows to 2.4e-13 at r = 1, n = 2**1021.
         tol = 2.0**-53 * (2 * math.log1p(n / r) + math.log(n) + math.log(r) + 18)
         bound = worst_case_survival(p_nf, r, n).lower_bound
         with mp.workdps(huge_count_digits(r, n)):

@@ -25,9 +25,8 @@ EXPORTED = {
     "InfeasibleScaleError", "MixtureModel", "MonteCarloEstimate", "check_demand_count",
     "check_probability", "monte_carlo_survival", "pfd", "survival_probability",
     # scenario
-    "AssessmentSpec", "Evidence", "ModelSection", "Query", "ScenarioError", "ScenarioFile",
-    "ScenarioIOError", "ScenarioSyntaxError", "ScenarioValidationError", "SweepGrids",
-    "parse_scenario", "serialize_scenario",
+    "AssessmentSpec", "Evidence", "ModelSection", "Query", "ScenarioFile", "ScenarioSyntaxError",
+    "SweepGrids", "parse_scenario", "serialize_scenario",
 }
 
 

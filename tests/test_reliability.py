@@ -172,6 +172,10 @@ class TestMonteCarlo:
         with pytest.raises(TypeError, match="trials must be an integer"):
             monte_carlo_survival(MixtureModel(0.5, 0.1), 10, trials=trials, seed=0)
 
+    def test_numpy_trials_are_stored_as_int(self):
+        mc = monte_carlo_survival(MixtureModel(0.5, 0.1), 10, trials=np.int64(1000), seed=0)
+        assert (type(mc.trials), type(mc.estimate)) == (int, float)
+
     def test_unresolvable_scale_refused(self):
         with pytest.raises(InfeasibleScaleError):
             monte_carlo_survival(MixtureModel(0.5, 0.1), 2**63 - 1, trials=10, seed=0)

@@ -7,9 +7,7 @@ from certbound.fleet import ConstantGrowth, LinearGrowth, LogisticGrowth
 from certbound.scenario import (
     Query,
     ScenarioFile,
-    ScenarioIOError,
     ScenarioSyntaxError,
-    ScenarioValidationError,
     parse_scenario,
     serialize_scenario,
 )
@@ -49,7 +47,7 @@ def test_minimal_model_only(tmp_path):
 
 
 def test_missing_file_is_io_error(tmp_path):
-    with pytest.raises(ScenarioIOError):
+    with pytest.raises(FileNotFoundError):
         parse_scenario(tmp_path / "nope.yaml")
 
 
@@ -92,13 +90,13 @@ def test_byte_order_mark_selects_the_encoding(tmp_path, encoding):
 
 
 def test_out_of_range_probability_names_key(tmp_path):
-    with pytest.raises(ScenarioValidationError, match="p_nf"):
+    with pytest.raises(ValueError, match="p_nf"):
         parse_scenario(write(tmp_path, "model:\n  p_nf: 1.5\n"))
 
 
 @pytest.mark.parametrize("r", [-3, 2**1022], ids=["negative", "2**1022"])
 def test_count_out_of_range_names_key(tmp_path, r):
-    with pytest.raises(ScenarioValidationError, match=r"evidence\.r: count must be"):
+    with pytest.raises(ValueError, match=r"evidence\.r: count must be"):
         parse_scenario(write(tmp_path, f"evidence:\n  r: {r}\n"))
 
 
@@ -115,7 +113,7 @@ def test_count_out_of_range_names_key(tmp_path, r):
     ids=["root-list", "section-list", "n_grid-scalar", "growth-without-kind"],
 )
 def test_malformed_structure_names_key(tmp_path, text, message):
-    with pytest.raises(ScenarioValidationError, match=message):
+    with pytest.raises(ValueError, match=message):
         parse_scenario(write(tmp_path, text))
 
 
@@ -132,7 +130,7 @@ def test_empty_file_is_an_empty_scenario(tmp_path):
     ids=["string-key", "mixed-type-keys"],
 )
 def test_unknown_top_level_section_rejected(tmp_path, text, message):
-    with pytest.raises(ScenarioValidationError, match=message):
+    with pytest.raises(ValueError, match=message):
         parse_scenario(write(tmp_path, text))
 
 
@@ -145,25 +143,25 @@ def test_unknown_top_level_section_rejected(tmp_path, text, message):
     ids=["string-key", "mixed-type-keys"],
 )
 def test_unknown_nested_key_rejected(tmp_path, text, message):
-    with pytest.raises(ScenarioValidationError, match=message):
+    with pytest.raises(ValueError, match=message):
         parse_scenario(write(tmp_path, text))
 
 
 def test_wrong_scalar_types_rejected(tmp_path):
-    with pytest.raises(ScenarioValidationError, match="evidence.r"):
+    with pytest.raises(ValueError, match="evidence.r"):
         parse_scenario(write(tmp_path, "evidence:\n  r: lots\n"))
-    with pytest.raises(ScenarioValidationError, match="evidence.r"):
+    with pytest.raises(ValueError, match="evidence.r"):
         parse_scenario(write(tmp_path, "evidence:\n  r: 3.5\n"))
-    with pytest.raises(ScenarioValidationError, match="model.p_nf"):
+    with pytest.raises(ValueError, match="model.p_nf"):
         parse_scenario(write(tmp_path, "model:\n  p_nf: true\n"))
-    with pytest.raises(ScenarioValidationError, match="evidence.r"):
+    with pytest.raises(ValueError, match="evidence.r"):
         parse_scenario(write(tmp_path, "evidence:\n  r: -5\n"))
 
 
 def test_query_needs_exactly_one_form(tmp_path):
-    with pytest.raises(ScenarioValidationError, match="exactly one"):
+    with pytest.raises(ValueError, match="exactly one"):
         parse_scenario(write(tmp_path, "query:\n  n: 5\n  n_grid: [1, 2]\n"))
-    with pytest.raises(ScenarioValidationError, match="exactly one"):
+    with pytest.raises(ValueError, match="exactly one"):
         parse_scenario(write(tmp_path, "query: {}\n"))
     scenario = parse_scenario(write(tmp_path, "query:\n  n_grid: [1, 2, 3]\n"))
     assert scenario.query.values() == (1, 2, 3)
@@ -176,7 +174,7 @@ def test_prior_normalization_enforced(tmp_path):
         "  atoms:\n"
         "    - {q: 0.5, weight: 0.2}\n"
     )
-    with pytest.raises(ScenarioValidationError, match="sum to 1"):
+    with pytest.raises(ValueError, match="sum to 1"):
         parse_scenario(write(tmp_path, text))
 
 
@@ -187,7 +185,7 @@ def test_assessment_mode_validated(tmp_path):
         "  groups:\n"
         "    - {group_id: a, objective_count: 1, p_no_fault: 0.9}\n"
     )
-    with pytest.raises(ScenarioValidationError, match="assessment.mode"):
+    with pytest.raises(ValueError, match="assessment.mode"):
         parse_scenario(write(tmp_path, text))
 
 
@@ -201,7 +199,7 @@ def test_growth_kind_validated(tmp_path):
         "  initial_evidence: 0\n"
         "  confidence_threshold: 0.5\n"
     )
-    with pytest.raises(ScenarioValidationError, match="bootstrap.growth.kind"):
+    with pytest.raises(ValueError, match="bootstrap.growth.kind"):
         parse_scenario(write(tmp_path, text))
 
 
@@ -215,7 +213,7 @@ def test_growth_requires_kind_specific_keys(tmp_path):
         "  initial_evidence: 0\n"
         "  confidence_threshold: 0.5\n"
     )
-    with pytest.raises(ScenarioValidationError, match="added_per_window"):
+    with pytest.raises(ValueError, match="added_per_window"):
         parse_scenario(write(tmp_path, text))
 
 
