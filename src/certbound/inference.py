@@ -12,12 +12,11 @@ For a point mass at q the predictive is
 
     g(q) = (p_nf + (1 - p_nf) * (1 - q)**(r + n)) / (p_nf + (1 - p_nf) * (1 - q)**r)
 
-All powers are evaluated as exp(k * log1p(-q)), so demand counts up to
-2**1022 are safe.  The minimum is the stationarity root's first term (see
-``_rows``); ``posterior_predictive_discrete`` evaluates any finite prior's
-predictive through its complement, to relative accuracy.  ``grid_worst_case``
-is a deliberately brute-force minimizer kept independent of the optimizer so
-the two can check each other.
+The minimum is the root of a closed form in itself (see ``_rows``), safe for
+demand counts up to 2**1022; ``posterior_predictive_discrete`` evaluates any
+finite prior's predictive through its complement, to relative accuracy.
+``grid_worst_case`` is a deliberately brute-force minimizer kept independent
+of the optimizer so the two can check each other.
 """
 
 from __future__ import annotations
@@ -43,13 +42,12 @@ __all__ = [
 
 # Brute-force oracle grid runs log-spaced over [_GRID_Q_MIN, 1] plus {0, 1}.
 _GRID_Q_MIN = 1e-15
-# Newton steps allowed for the stationarity root.  From its closed-form start
-# and an unconditional first step (on a convex, increasing F any step lands
-# right of the root) it takes 2.9 steps on average and at most 9 over
-# perfbench's sweep-grid pools of seeds 1-3 and 71-73, and 3 at r = 2**1022 - 1, n = 1.
+# Newton evaluations allowed per interior cell: 2.06 on average and 5 at most over perfbench's
+# sweep-grid pools of seeds 1-3 and 201.  A step within _STEP_TOL is the last (see _rows).
 _NEWTON_STEP_CAP = 1000
-# Below this M the root estimate moves x by less than an ulp (see _rows).
-_M_FLAT = math.log(2.0**-53)
+_STEP_TOL = 2.0**-27
+_LOG2 = math.log(2.0)
+_SWEEP_CELL_CAP = 10**6  # sweep holds every row, about 234 bytes each
 
 
 class DegenerateConditioningError(ValueError):
@@ -141,8 +139,8 @@ def worst_case_survival(p_nf: float, r: int, n: int) -> SurvivalPrediction:
     With r = 0 the minimum sits at q = 1 and equals the p_nf floor.  For
     p_nf in (0, 1) and r, n >= 1, g(0) = g(1) = 1 and g dips below 1 in
     between, where g'(q) = 0 has exactly one root; so that stationary point
-    is the global minimum and is returned directly.  The root is found in
-    x = log(1 - q), so the bound stays accurate where 1 - q underflows.
+    is the global minimum and is returned directly.  It is found from a closed
+    form in the minimum itself, so the bound stays accurate where 1 - q underflows.
     """
     a = check_probability(p_nf)
     return _rows((a,), ((check_demand_count(r, "r"), check_demand_count(n, "n")),))[0]
@@ -151,97 +149,97 @@ def worst_case_survival(p_nf: float, r: int, n: int) -> SurvivalPrediction:
 def _rows(p_nfs: Iterable[float], pairs: Iterable[tuple[int, int]]) -> list[SurvivalPrediction]:
     """worst_case_survival for each validated a in p_nfs (outermost) and (r, n) in pairs.
 
-    Each pair's root terms, log1p(n/r), log n, log r, n and r + n as floats and M's part
-    -(r/n)*log1p(n/r), are taken once (NaN where r or n is 0: an endpoint), and so are
-    each a's logs.  A cell's float operations, and their order, do not depend on the other
-    cells, so every row is bit-identical to a lone call.  Interior bounds are clamped to [a, 1].
+    Each pair's terms below are taken once (NaN where r or n is 0: an endpoint), and so is each
+    a's d.  A cell's float operations, and their order, do not depend on the other cells, so
+    every row is bit-identical to a lone call.  Interior bounds are clamped to [a, 1].
 
-    An interior cell (a in (0, 1), r, n >= 1) finds x* = log(1 - q*) at the
-    unique interior minimum of g.  Clearing denominators in g'(q) = 0 and
-    dividing by a*r gives, with u = 1 - q and b = 1 - a,
+    An interior cell (a in (0, 1), r, n >= 1, b = 1 - a, s = r/n) solves for the minimum t*
+    itself.  g >= t for all u = 1 - q exactly when h(u) = a*(1 - t) + b*u**r*(u**n - t) >= 0,
+    and h is least at u**n = t*r/(r + n), so t* is the root in (0, 1) of the decreasing
 
-        A + B = 1,  A = (1 + n/r)*u**n,  B = (b/a)*(n/r)*u**(r + n)
+        f(t) = log1p(-t) - s1*log t = K,   s1 = 1 + s,   K = M - l,   l = log1p(s),
+        M = d - s*c1,   d = log1p(-a) - log a,   c1 = log1p(n/r),
 
-    Scaled this way both sides are O(1), so the root keeps its resolution
-    when r >> n.  In x = log u the equation is F(x) = 0, where the log of the
-    left side, F(x) = logaddexp(t1, t2) with t1 = c1 + n*x, t2 = c2 + s*x,
-    c1 = log1p(n/r), c2 = log(b/a) + log n - log r and s = r + n, is convex
-    and increasing.
+    and n*x* = log t* - c1 at x* = log(1 - q*): both terms are <= 0, so q* = -expm1(x*)
+    loses nothing.  f(1/2) = s*log 2, so t* > 1/2 exactly when K < s*log 2.  Then the unknown
+    is w = log(s1*c), c = 1 - t: G(w) = w - s1*log1p(-e**w/s1) - M, G' = 1 + e**w/t; the bound
+    is 1 - c.  Linearising log1p gives z + log z = M, z = e**w, whose two-term expansions start
+    w at log M - log(M)/M for M > 1, else at M - y*(2 + y)/(2 + 3*y), y = e**M; w is capped at
+    l - log 2, so c <= 1/2.  Else the unknown is v = log t: H(v) = log1p(-e**v) - s1*v - K,
+    H' = -s1 - t/c, from v = min(-K/s1, -log 2), where H <= 0.  G is convex and increasing, H
+    concave and decreasing, so any Newton step lands right of the root, and later ones fall.
 
-    Newton's method starts at an estimate of the root x_a - z/s, x_a = -c1/n
-    (where A = 1).  Taking 1 - exp(-n*z/s) ~ n*z/s, A + B = 1 becomes
-    z + log z = M, M = c2 + s*x_a + log1p(r/n) = log(b/a) - (r/n)*c1, whose
-    root is z ~ M - log M + log(M)/M for M > 1 and z ~ y*(2 + y)/(2 + 3*y),
-    y = exp(M), otherwise (two-term expansions as M -> inf and y -> 0).
-    Below M = _M_FLAT = log(2**-53) the start is x_a, which is then within an
-    ulp of the root: z*n/(s*c1) <= z <= y*(1 + z).
+    Stop rule.  On its half (c or t <= 1/2) each equation has |second derivative| <= 2*|first|:
+    G'' = e**w/t**2, |H''| = t/c**2.  So a step D from an iterate off by err leaves at most
+    err**2 (err**2*exp(2|D|) from the left, where |err| <= |D|).  Right of the root err <= 2|D|
+    for H (|H'| is in [s1, s1 + 1]) and err <= 8|D| for G unless |D| > 0.3 (G >= err + e**w -
+    e**w*, G' <= 1 + 2*e**w, and log G' changes at rate <= 2).  The first step with
+    |D| <= 2**-27 thus leaves D**2*(1 + 2**-20) <= 2**-54*(1 + 2**-20), relative in c or t; the
+    loop applies it to first order, c*(1 - D) or t*(1 + D), and stops.  It raises
+    ArithmeticError after _NEWTON_STEP_CAP evaluations.  Both equations hold at t* = 1/2.
 
-    The estimate may lie on either side of the root, so the first step is
-    taken whatever its direction: F' >= n > 0 and a convex F lies above
-    each tangent, so a step from any x lands right of the root.  Right of
-    the root each tangent meets zero between the root and x, so the later
-    iterates fall monotonically and never overshoot.  The loop stops at the
-    first later step that no longer decreases x, and raises ArithmeticError
-    after _NEWTON_STEP_CAP steps, the first one included.  Its last
-    evaluation is at the returned x, so t1, t2 and e = exp(-|t1 - t2|) are
-    those of the root.
+    Rounding, to first order in u = 2**-53 (exp, log, log1p within 2u), with lam = |log a| +
+    |log b| and J = |dt/dK| = t*c/(t + s1*c): M is off by u*(3*lam + |M| + 5), K by
+    u*(2*l + |K| + 1) more.  As errors in K, an evaluation adds u*(5 + 5*s1*|log t| + |M|)
+    for G (with c's and s1's roundings) and u*(2*s1 + 2*|log c| + 5*s1*|log t| + |K|) for H.
+    The last step adds 7u/4 of c or t, and 1 - c another u/2.  So |bound - t*| <= E, at most
+    6.9e-16 over the README's domain and out to counts of 2**1021, where
 
-    At the root g = A and 1 - g = B: in general
-    1 - g = (b/a)*u**r*(1 - u**n)/(1 + (b/a)*u**r), and at the root
-    1 - u**n = u**n*(n/r)*(1 + (b/a)*u**r).  So the bound is exp(t1).
-
-    Error, to first order in eps = 2**-53 (exp, log, log1p within 1 ulp): with
-    e1, e2 the errors of the computed t1 and t2 at the returned x, and
-    e3 = log(exp(t1) + exp(t2)) there, the bound is off from g by
-    A*(B*(s*e1 - n*e2) + n*e3)/(n*A + s*B) + 2*eps*g.  So e1 weighs at most
-    min(A, A*B*s/n), e2 at most min(A*B, A*n/s) and e3 at most A, and no
-    |log a| cancels as in a ratio of log-add-exps.
-    |e1| <= eps*(3*c1 + 2*|log A| + 1),
-    |e2| <= eps*(s*|x| + |log B| + 5*|d| + 4*log n + 3*log r + 3) with e2's
-    weight times |d| below 1.72, and the stop leaves
-    |e3| <= eps*(|x|*(n*A + s*B) + 2).  Summed, the error is at most
-    eps*(2*c1 + log n + log r + 18): 1.2e-14 for counts up to 10**12.
+        t* > 1/2:  E = J*u*(3*lam + 2*|M| + 5*s1*|log t| + 10) + 7u/4*c + u/2
+        t* <= 1/2: E = J*u*(3*lam + |M| + 2*(|K| + l + s1 + |log c|) + 5*s1*|log t| + 6) + 7u/4*t
     """
     terms = []
     for r, n in pairs:
         if r == 0 or n == 0:
-            terms.append((r, n, math.nan, math.nan, math.nan, math.nan, math.nan, math.nan))
+            terms.append((r, n) + (math.nan,) * 7)
         else:
-            c1 = math.log1p(n / r)
-            terms.append((r, n, c1, math.log(n), math.log(r), float(n), float(r + n), -(r / n) * c1))
+            s, c1 = r / n, math.log1p(n / r)
+            l = math.log1p(s)
+            terms.append((r, n, c1, float(n), 1.0 + s, l, l - _LOG2, s * _LOG2 + l, -s * c1))
     rows = []
     for a in p_nfs:
         interior = 0.0 < a < 1.0
         if interior:
             d = math.log1p(-a) - math.log(a)
-        for r, n, c1, log_n, log_r, n_f, s_f, m_rn in terms:
+        for r, n, c1, n_f, s1, l, w_cap, m_half, m_rn in terms:
             if interior and r and n:
-                c2, m = d + log_n - log_r, d + m_rn
-                x = -c1 / n_f
-                if m > 1.0:
-                    y = math.log(m)
-                    x -= (m - y + y / m) / s_f
-                elif m > _M_FLAT:
-                    y = math.exp(m)
-                    x -= y * (2.0 + y) / ((2.0 + 3.0 * y) * s_f)
-                for i in range(_NEWTON_STEP_CAP):
-                    # F and F' from the same two exponentials, the larger one factored out.
-                    t1, t2 = c1 + n_f * x, c2 + s_f * x
-                    if t1 >= t2:
-                        e = math.exp(t2 - t1)
-                        x_next = x - (t1 + math.log1p(e)) * (1.0 + e) / (n_f + s_f * e)
+                m = d + m_rn
+                if m < m_half:  # t* > 1/2: solve for w = log(s1*c), c = 1 - t*
+                    if m > 1.0:
+                        y = math.log(m)
+                        w = y - y / m
                     else:
-                        e = math.exp(t1 - t2)
-                        x_next = x - (t2 + math.log1p(e)) * (1.0 + e) / (s_f + n_f * e)
-                    if x_next >= x and i:
-                        break
-                    x = x_next
-                else:
-                    raise ArithmeticError(
-                        f"stationarity root took over {_NEWTON_STEP_CAP} Newton steps"
-                    )
-                g = math.exp(t1)
-                bound, q = a if g < a else 1.0 if g > 1.0 else g, -math.expm1(x)
+                        y = math.exp(m)
+                        w = m - y * (2.0 + y) / (2.0 + 3.0 * y)
+                    for _ in range(_NEWTON_STEP_CAP):
+                        if w > w_cap:
+                            w = w_cap
+                        e = math.exp(w)
+                        c = e / s1
+                        t = 1.0 - c
+                        log_t = math.log1p(-c)
+                        step = (w - s1 * log_t - m) / (1.0 + e / t)
+                        if -_STEP_TOL <= step <= _STEP_TOL:
+                            break
+                        w -= step
+                    else:
+                        raise ArithmeticError(f"closed form took over {_NEWTON_STEP_CAP} steps")
+                    log_t += step * c / t
+                    g = 1.0 - (c - step * c)
+                else:  # t* <= 1/2: solve for v = log t*
+                    k = m - l
+                    v = -k / s1 if k > s1 * _LOG2 else -_LOG2
+                    for _ in range(_NEWTON_STEP_CAP):
+                        t = math.exp(v)
+                        step = (math.log1p(-t) - s1 * v - k) / (s1 + t / (1.0 - t))
+                        if -_STEP_TOL <= step <= _STEP_TOL:
+                            break
+                        v += step
+                    else:
+                        raise ArithmeticError(f"closed form took over {_NEWTON_STEP_CAP} steps")
+                    log_t = v + step
+                    g = t + step * t
+                bound, q = a if g < a else 1.0 if g > 1.0 else g, -math.expm1((log_t - c1) / n_f)
             elif n == 0 or a == 1.0:
                 bound, q = 1.0, 0.0
             else:  # r == 0 or a == 0: the floor
@@ -350,13 +348,15 @@ def sweep(
 ) -> list[SurvivalPrediction]:
     """worst_case_survival over the Cartesian product of the three grids.
 
-    Grids are any iterables, numpy arrays included; each value is validated once,
-    before an empty grid is refused.  Each (r, n) pair's root terms and each p_nf's
-    logs are taken once.  Rows come in input order, p_nf outermost and n innermost.
+    Grids are any iterables, numpy arrays included; each value is validated once, before an
+    empty grid, or one of more than 10**6 cells, is refused.  Each (r, n) pair's terms and
+    each p_nf's logs are taken once.  Rows come in input order, p_nf outermost, n innermost.
     """
     p_nfs = [check_probability(p) for p in p_nf_grid]
     rs = [check_demand_count(r, "r") for r in r_grid]
     ns = [check_demand_count(n, "n") for n in n_grid]
     if not p_nfs or not rs or not ns:
         raise ValueError("sweep grids must be non-empty")
+    if (cells := len(p_nfs) * len(rs) * len(ns)) > _SWEEP_CELL_CAP:
+        raise ValueError(f"sweep grid has {cells} cells, more than the cap of {_SWEEP_CELL_CAP}")
     return _rows(p_nfs, ((r, n) for r in rs for n in ns))

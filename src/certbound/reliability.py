@@ -36,6 +36,7 @@ _TRIAL_CHUNK = 1 << 20
 
 # numpy's geometric draws saturate here, so `first failure > n` is exact only below it.
 _GEOMETRIC_CAP = 2**63 - 1
+_TRIAL_CAP = 10**9  # 8-30 ns a trial: at most about 30 s of sampling
 _COUNT_CAP = 2**1022  # demand counts stay below it, so r + n converts to a float
 _SHORT = reprlib.Repr()  # values in messages: top level only, 4 items of 24 characters
 _SHORT.maxlevel, _SHORT.maxlist, _SHORT.maxtuple, _SHORT.maxdict, _SHORT.maxset = 1, 4, 4, 2, 4
@@ -153,9 +154,11 @@ def monte_carlo_survival(
     Raises:
         InfeasibleScaleError: if n >= 2**63 - 1, where numpy's int64
             geometric draws saturate and can no longer exceed n.
+        ValueError: if trials is not in [1, 10**9].
     """
     n = check_demand_count(n, "n")
-    trials = _check_positive_count(trials, "trials")
+    if (trials := _check_positive_count(trials, "trials")) > _TRIAL_CAP:
+        raise ValueError(f"trials must be <= {_TRIAL_CAP}, got {_count_text(trials)}")
     if n >= _GEOMETRIC_CAP:
         raise InfeasibleScaleError(
             f"n must be < 2**63 - 1, where geometric draws saturate, got {_count_text(n)}"

@@ -1,5 +1,6 @@
 import csv
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,26 @@ class TestInputResolution:
         code, out = run(capsys, *argv)
         assert code == 4
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("sweep", "--p-nf", ",".join(["0.5"] * 101), "--r", ",".join(["1"] * 9901),
+              "--n", "1"),
+             "sweep grid has 1000001 cells, more than the cap of 1000000"),
+            (("survival", "--p-nf", "0.9", "--p-fail", "0.01", "--n", "5",
+              "--mc-trials", "1000000001"), "trials must be <= 1000000000, got 1000000001"),
+        ],
+        ids=["sweep-cells", "mc-trials"],
+    )
+    def test_work_past_a_cap_is_refused_at_once(self, capsys, argv, message):
+        start = time.perf_counter()
+        code = main(list(argv))
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert message in captured.err
+        assert elapsed < 1.0
 
 
 class TestSurvival:

@@ -93,14 +93,16 @@ def huge_count_digits(r, n) -> int:
 
 
 def root_tolerance(p_nf, r, n, x) -> float:
-    """First-order bound on inference._rows's relative error in the root x, with
-    eps = 2**-53 (exp, log, log1p within 2*eps).  t1 = c1 + n*x is off by at most
-    eps*(3*c1 + 2*n*|x| + |t1|) and t2 = c2 + s*x (s = r + n) by k2 + eps*(2*s*|x| + |t2|),
-    k2 the roundings of c2 = log1p(-a) - log a + log n - log r.  F = log(e**t1 + e**t2)
-    adds at most eps*(min(A, B)*(|t2 - t1| + 2) + 2*min(|t1|, |t2|)), A = e**t1,
-    B = e**t2, A + B = 1.  Over F' = n*A + s*B that moves the root, and the last step
-    rounds twice.  Over 1,500 random cells it stayed below 33*eps with counts up to 10**12
-    and reached 890*eps with counts up to 2**1021, as c2's absolute error grows with log r."""
+    """First-order bound on the relative error in the root x of a Newton solve of the
+    stationarity equation in x itself, kept as the tolerance for the closed form's
+    x = (log t - log1p(n/r))/n, with eps = 2**-53 (exp, log, log1p within 2*eps).
+    t1 = c1 + n*x is off by at most eps*(3*c1 + 2*n*|x| + |t1|) and t2 = c2 + s*x
+    (s = r + n) by k2 + eps*(2*s*|x| + |t2|), k2 the roundings of
+    c2 = log1p(-a) - log a + log n - log r.  F = log(e**t1 + e**t2) adds at most
+    eps*(min(A, B)*(|t2 - t1| + 2) + 2*min(|t1|, |t2|)), A = e**t1, B = e**t2, A + B = 1.
+    Over F' = n*A + s*B that moves the root, and the last step rounds twice.  Over 1,500
+    random cells it stayed below 33*eps with counts up to 10**12 and reached 890*eps with
+    counts up to 2**1021, as c2's absolute error grows with log r."""
     eps = 2.0**-53
     a, log_n, log_r = p_nf, math.log(n), math.log(r)
     c1, d, s = math.log1p(n / r), math.log1p(-a) - math.log(a), r + n
@@ -113,6 +115,22 @@ def root_tolerance(p_nf, r, n, x) -> float:
     e2 = k2 + eps * (2 * s * abs(x) + abs(t2))
     e3 = eps * (min(A, B) * (abs(t2 - t1) + 2) + 2 * min(abs(t1), abs(t2)))
     return 2 * eps + (A * e1 + B * e2 + e3) / ((n * A + s * B) * abs(x))
+
+
+def bound_tolerance(p_nf, r, n, exact) -> float:
+    """E, the first-order bound on |lower_bound - t*| derived in inference._rows's
+    docstring, at the exact minimum t* (an mpf) and its complement c = 1 - t*."""
+    u, s = 2.0**-53, r / n
+    t, c, s1, l = float(exact), float(1 - exact), 1 + s, math.log1p(s)
+    lam = abs(math.log(p_nf)) + abs(math.log1p(-p_nf))
+    M = math.log1p(-p_nf) - math.log(p_nf) - s * math.log1p(n / r)
+    J = t * c / (t + s1 * c)
+    log_t = abs(math.log(t) if t <= 0.5 else math.log1p(-c))
+    if t > 0.5:
+        return J * u * (3 * lam + 2 * abs(M) + 5 * s1 * log_t + 10) + 1.75 * u * c + u / 2
+    K = M - l
+    terms = 3 * lam + abs(M) + 2 * (abs(K) + l + s1 + abs(math.log(c))) + 5 * s1 * log_t + 6
+    return J * u * terms + 1.75 * u * t
 
 
 def kernel_root(p_nf, r, n) -> float:
@@ -230,13 +248,17 @@ class TestWorstCase:
     @example(1e-300, 10**12, 1)
     @example(1e-300, 1, 1)
     @example(1.0 - 1e-15, 10**12, 10**12)
-    # The start's estimate at the edges of its branches: M just above and just
-    # below 1, then just above and just below _M_FLAT (M = -36.7366, -36.7370).
+    # The starts at the edges of their branches: M just below and just above 1
+    # (p_nf = 0.15536 at r = n = 1), then K just either side of s*log 2, where
+    # t* = 1/2 (p_nf = 1/9 at r = n = 1; p_nf = 1e-300 at r/n = 985.19).
     @example(0.1553, 1, 1)
     @example(0.1554, 1, 1)
-    @example(1.0 - 2.0**-52, 999, 1000)
-    @example(1.0 - 2.0**-52, 1001, 1000)
-    # The estimate lies left of the root, so the first step goes right.
+    @example(1 / 9 - 1e-9, 1, 1)
+    @example(1 / 9, 1, 1)
+    @example(1 / 9 + 1e-9, 1, 1)
+    @example(1e-300, 985_190, 1000)
+    @example(1e-300, 985_191, 1000)
+    # The start lies left of the root, so the first step goes right.
     @example(0.5, 10**6, 1)
     @settings(max_examples=60, deadline=None)
     def test_stationarity_root_matches_high_precision_root(self, p_nf, r, n):
@@ -249,12 +271,14 @@ class TestWorstCase:
     @example(1e-300, 10**9, 2)
     @example(1.0 - 1e-15, 1, 10**12)
     @example(0.99, 100, 10**4)
+    @example(5.339546766150001e-250, 817, 1)  # t* near 1/2, where E peaks
+    @example(1.0 - 1e-15, 1, 10**9)
     @settings(max_examples=60, deadline=None)
     def test_interior_bound_within_derived_error(self, p_nf, r, n):
-        # The first-order error bound derived in inference._rows's docstring.
+        # The first-order error bound E derived in inference._rows's docstring.
         exact = point_predictive_log1m_mp(p_nf, stationarity_root_log1m_mp(p_nf, r, n), r, n)
-        tol = 2.0**-53 * (2 * math.log1p(n / r) + math.log(n) + math.log(r) + 18)
-        assert tol <= 2e-14
+        tol = bound_tolerance(p_nf, r, n, exact)
+        assert tol <= 1e-15
         bound = worst_case_survival(p_nf, r, n).lower_bound
         assert abs(mp.mpf(bound) - exact) <= tol, (p_nf, r, n, bound, exact)
 
@@ -262,7 +286,7 @@ class TestWorstCase:
     @example(1e-300, 2**1021, 1)
     @example(0.5, 1, 2**1021)
     @example(1.0 - 1e-15, 2**1021, 2**1021)
-    @example(0.1, int(round(2.0**584.125)), 1)  # 1.2e-14: past 1e-14, within tolerance
+    @example(0.1, int(round(2.0**584.125)), 1)  # a Newton solve in x loses 1.2e-14 here
     @settings(max_examples=30, deadline=None)
     def test_stationarity_root_to_the_count_cap(self, p_nf, r, n):
         x = kernel_root(p_nf, r, n)
@@ -278,15 +302,17 @@ class TestWorstCase:
     @example(0.5, 2**1021, 2**1021)
     @settings(max_examples=30, deadline=None)
     def test_bound_within_derived_error_to_the_count_cap(self, p_nf, r, n):
-        # _rows's derived bound, which grows to 2.4e-13 at r = 1, n = 2**1021.
-        tol = 2.0**-53 * (2 * math.log1p(n / r) + math.log(n) + math.log(r) + 18)
+        # _rows's derived bound E holds, and stays below 1e-15, out to 2**1021.
         bound = worst_case_survival(p_nf, r, n).lower_bound
         with mp.workdps(huge_count_digits(r, n)):
             x = stationarity_root_log1m_mp(p_nf, r, n)
             exact = point_predictive_log1m_mp(p_nf, x, r, n)
+            tol = bound_tolerance(p_nf, r, n, exact)
+            assert tol <= 1e-15
             assert abs(mp.mpf(bound) - exact) <= tol, (p_nf, r, n, bound, exact)
 
     def test_stationarity_root_step_cap_raises(self, monkeypatch):
+        # (0.9, 10**3, 10**4) takes 2 evaluations, so a cap of 1 refuses it.
         monkeypatch.setattr(inference, "_NEWTON_STEP_CAP", 1)
         with pytest.raises(ArithmeticError):
             worst_case_survival(0.9, 10**3, 10**4)
@@ -301,7 +327,8 @@ class TestWorstCase:
     @example([1e-300], [10**12], [1])
     @settings(max_examples=60, deadline=None)
     def test_stationarity_root_takes_at_most_12_steps(self, p_nfs, rs, ns):
-        # About ln(r/n) steps from the old start x = -c1/n: (1e-300, 10**12, 1) took 28.
+        # The closed form takes at most 5 evaluations over 80,000 random cells; the
+        # x-form root took up to 28 from its old start x = -c1/n at (1e-300, 10**12, 1).
         with mock.patch.object(inference, "_NEWTON_STEP_CAP", 12):
             sweep(p_nfs, rs, ns)
 
@@ -310,7 +337,7 @@ class TestWorstCase:
         "r, n", [(2**1022 - 1, 2**1022 - 1), (2**1022 - 1, 1)], ids=["r=n=cap-1", "r=cap-1,n=1"]
     )
     def test_largest_counts_give_finite_bounds(self, p_nf, r, n):
-        # About ln(2**1022) = 708 Newton steps at most, well inside the cap.
+        # At most 3 evaluations here, well inside the cap.
         pred = worst_case_survival(p_nf, r, n)
         assert p_nf <= pred.lower_bound <= 1.0
         assert 0.0 <= pred.worst_case_q < 1.0
@@ -352,6 +379,24 @@ class TestWorstCase:
             assert more_evidence.lower_bound >= base - 1e-12
             assert more_exposure.lower_bound <= base + 1e-12
             assert higher_confidence.lower_bound >= base - 1e-12
+
+    def test_monotone_in_r_and_n_without_tolerance(self):
+        # One more failure-free demand never lowers the bound, one more future
+        # demand never raises it: 2,000 README-domain cells, compared exactly.
+        rng = np.random.default_rng(26)
+        for _ in range(2000):
+            if rng.random() < 0.5:
+                p_nf = 10.0 ** rng.uniform(-300.0, math.log10(0.5))
+            else:
+                p_nf = 1.0 - 10.0 ** rng.uniform(-15.0, math.log10(0.5))
+            r, n = (int(round(10.0 ** rng.uniform(0.0, 12.0))) for _ in range(2))
+            bound = worst_case_survival(p_nf, r, n).lower_bound
+            assert worst_case_survival(p_nf, r + 1, n).lower_bound >= bound, (p_nf, r, n)
+            assert worst_case_survival(p_nf, r, n + 1).lower_bound <= bound, (p_nf, r, n)
+
+    def test_no_false_one_next_to_certainty(self):
+        # The 60-digit minimum is 1 - 9.992007005e-16, which rounds to 1 - 1e-15.
+        assert worst_case_survival(1.0 - 1e-15, 1, 10**9).lower_bound == 0.999999999999999
 
 
 class TestGridOracle:
@@ -531,6 +576,19 @@ class TestSweep:
         rows = sweep([0.9, 0.99], [0, 1, 2], [1, 10])
         assert sweep(np.array([0.9, 0.99]), np.arange(3), np.array([1, 10])) == rows
         assert sweep(iter([0.9, 0.99]), range(3), (1, 10)) == rows
+
+    def test_grid_cells_are_capped(self, monkeypatch):
+        # 101 * 9901 = 10**6 + 1 cells, refused after 10,003 values are validated.
+        message = "sweep grid has 1000001 cells, more than the cap of 1000000"
+        with pytest.raises(ValueError, match=message):
+            sweep([0.5] * 101, [1] * 9901, [1])
+        # At the cap itself, with the cap lowered so that no 10**6 rows are built.
+        monkeypatch.setattr(inference, "_SWEEP_CELL_CAP", 6)
+        assert len(sweep([0.5, 0.9], [1, 2, 3], [1])) == 6
+        with pytest.raises(ValueError, match="sweep grid has 7 cells, more than the cap of 6"):
+            sweep([0.5] * 7, [1], [1])
+        with pytest.raises(ValueError, match="probability"):  # axes are validated first
+            sweep([0.5, 1.5], [1] * 4, [1])
 
     def test_bad_value_beside_an_empty_grid_is_reported(self):
         with pytest.raises(ValueError, match="probability"):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certbound import reliability
 from certbound.reliability import (
     InfeasibleScaleError,
     MixtureModel,
@@ -205,3 +206,13 @@ class TestMonteCarlo:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             monte_carlo_survival(MixtureModel(0.5, 0.1), 10, trials=0, seed=0)
+
+    def test_trials_are_capped(self, monkeypatch):
+        model = MixtureModel(0.5, 0.1)
+        with pytest.raises(ValueError, match=r"trials must be <= 1000000000, got 1000000001"):
+            monte_carlo_survival(model, 10, trials=10**9 + 1, seed=0)
+        # At the cap itself, with the cap lowered so that the run stays short.
+        monkeypatch.setattr(reliability, "_TRIAL_CAP", 100)
+        assert monte_carlo_survival(model, 10, trials=100, seed=0).trials == 100
+        with pytest.raises(ValueError, match=r"trials must be <= 100, got 101"):
+            monte_carlo_survival(model, 10, trials=101, seed=0)
