@@ -174,8 +174,8 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
             f"{'yes' if w.meets_threshold else 'NO':>6}"
         )
     if verdict.all_windows_pass:
-        margin = "n/a" if verdict.minimum_margin is None else f"{verdict.minimum_margin:.12g}"
-        print(f"verdict: all windows meet the threshold (minimum margin {margin})")
+        margin = verdict.minimum_margin
+        print(f"verdict: all windows meet the threshold (minimum margin {margin:.12g})")
     else:
         print(f"verdict: window {verdict.first_failing_window} misses the threshold")
     if args.csv:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .inference import SurvivalPrediction, _rows
 from .reliability import _count_text, _store_count, check_demand_count, check_probability
@@ -25,7 +25,6 @@ __all__ = [
     "ConstantGrowth",
     "LinearGrowth",
     "LogisticGrowth",
-    "FleetGrowthModel",
     "FleetScenario",
     "WindowRecord",
     "BootstrapTrace",
@@ -95,9 +94,6 @@ class LogisticGrowth:
         return int(size + 0.5)  # aircraft are discrete; size > 0, so this rounds half up
 
 
-FleetGrowthModel = Union[ConstantGrowth, LinearGrowth, LogisticGrowth]
-
-
 @dataclass(frozen=True)
 class FleetScenario:
     """Everything a bootstrap run needs: growth, demand rate, windows,
@@ -109,7 +105,7 @@ class FleetScenario:
     against the per-window bounds.
     """
 
-    growth: FleetGrowthModel
+    growth: ConstantGrowth | LinearGrowth | LogisticGrowth
     demands_per_aircraft_per_window: int
     window_count: int
     p_nf: float
@@ -119,7 +115,7 @@ class FleetScenario:
 
     def __post_init__(self) -> None:
         _store_count(self, "demands_per_aircraft_per_window")
-        if _store_count(self, "window_count", check_demand_count) > 10**5:  # ~450 B a window
+        if _store_count(self, "window_count") > 10**5:  # ~450 B a window
             raise ValueError(f"window_count must be <= 100000, got {_count_text(self.window_count)}")
         _store_count(self, "initial_evidence", check_demand_count)
         object.__setattr__(self, "p_nf", check_probability(self.p_nf))
@@ -149,7 +145,7 @@ class FeasibilityVerdict(NamedTuple):
     all_windows_pass: bool
     first_failing_window: Optional[int]
     final_cumulative_demands: int
-    minimum_margin: Optional[float]
+    minimum_margin: float
 
 
 def run_bootstrap(scenario: FleetScenario) -> BootstrapTrace:
@@ -185,12 +181,13 @@ def run_bootstrap(scenario: FleetScenario) -> BootstrapTrace:
 
 
 def check_feasibility(trace: BootstrapTrace) -> FeasibilityVerdict:
-    """Summarize a trace: did every window clear its threshold, and by how much?"""
+    """Summarize a trace (at least one window, as every FleetScenario has):
+    did every window clear its threshold, and by how much?"""
     failing = [w.window_index for w in trace.windows if not w.meets_threshold]
     margins = [w.prediction.lower_bound - trace.threshold for w in trace.windows]
     return FeasibilityVerdict(
         all_windows_pass=not failing,
         first_failing_window=failing[0] if failing else None,
         final_cumulative_demands=trace.cumulative_demands,
-        minimum_margin=min(margins) if margins else None,
+        minimum_margin=min(margins),
     )

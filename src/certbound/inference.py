@@ -33,7 +33,6 @@ from .reliability import _count_text, check_demand_count, check_probability
 __all__ = [
     "DiscretePrior",
     "SurvivalPrediction",
-    "DegenerateConditioningError",
     "worst_case_survival",
     "grid_worst_case",
     "posterior_predictive_discrete",
@@ -48,10 +47,6 @@ _NEWTON_STEP_CAP = 1000
 _STEP_TOL = 2.0**-27
 _LOG2 = math.log(2.0)
 _SWEEP_CELL_CAP = 10**6  # sweep holds every row, about 234 bytes each
-
-
-class DegenerateConditioningError(ValueError):
-    """The prior assigns zero probability to the observed failure-free run."""
 
 
 @dataclass(frozen=True)
@@ -288,8 +283,7 @@ def posterior_predictive_discrete(prior: DiscretePrior, r: int, n: int) -> float
     returned as 1 - c, its complement c evaluated to relative accuracy by ``_complement``.
 
     Raises:
-        DegenerateConditioningError: if the denominator is zero, i.e. the
-            prior gives the observed r failure-free demands no probability.
+        ValueError: if the denominator is zero: the prior gives the r demands probability 0.
     """
     c = _complement(prior, check_demand_count(r, "r"), check_demand_count(n, "n"))
     return check_probability(1.0 - c)
@@ -322,7 +316,7 @@ def _complement(prior: DiscretePrior, r: int, n: int) -> float:
     eps*(32*max|log w_i| + 20*|log a| + 16404): 5.8e-12 at a, w_i >= 1e-300.
 
     Raises:
-        DegenerateConditioningError: if every term is 0 (m = -inf).
+        ValueError: if every term is 0 (m = -inf).
     """
     a = prior.p_nf
     xs = [math.log1p(-q) if q < 1.0 else -math.inf for q, _ in prior.atoms]
@@ -334,7 +328,7 @@ def _complement(prior: DiscretePrior, r: int, n: int) -> float:
         tails.append(-math.expm1(n * x) if n else 0.0)
     m = max(logs)
     if m == -math.inf:
-        raise DegenerateConditioningError(
+        raise ValueError(
             f"prior assigns probability 0 to the r = {_count_text(r)} observed demands"
         )
     weights = [math.exp(v - m) for v in logs]

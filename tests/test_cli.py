@@ -1,9 +1,14 @@
+import contextlib
 import csv
+import io
 import re
 import time
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from certbound.assessment import aggregate_fault_freeness
 from certbound.cli import BOOTSTRAP_CSV_HEADER, SWEEP_CSV_HEADER, format_probability, main
@@ -287,6 +292,25 @@ class TestBootstrap:
         assert captured.out == ""
         assert "window_count must be <= 100000, got 100001" in captured.err
 
+    def test_zero_windows_prints_nothing(self, capsys, tmp_path):
+        # A run of no windows checks nothing, so it must not pass the gate.
+        text = (
+            "bootstrap:\n"
+            "  growth: {kind: constant, initial_fleet: 1}\n"
+            "  demands_per_aircraft_per_window: 1\n"
+            "  window_count: 0\n"
+            "  p_nf: 0.5\n"
+            "  initial_evidence: 0\n"
+            "  confidence_threshold: 0.999999\n"
+        )
+        path = tmp_path / "empty.yaml"
+        path.write_text(text, encoding="utf-8")
+        code = main(["bootstrap", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == "error: bootstrap: window_count must be >= 1, got 0\n"
+
     def test_remaining_lifetime_is_not_solved(self, capsys, tmp_path, monkeypatch):
         received = []
 
@@ -513,3 +537,123 @@ class TestExitCodes:
         assert code == 4
         assert captured.out == ""
         assert captured.err.startswith(message)
+
+
+# Strategies for the contract property, most draws valid so that runs reach every exit.
+
+
+def _mostly(common: list, rare: list) -> st.SearchStrategy:
+    """A value of ``common`` in four draws of five, else one of ``rare``."""
+    return st.sampled_from(common * (4 * len(rare)) + rare * len(common))
+
+
+_counts = _mostly([1, 3, 1000, 10**6], [0, 2**1022 - 1, 2**1022, 10**30, -1])
+_probabilities = _mostly([0.5, 0.9, 0.999999, 1.0], [0.0, 1e-300, 1.5, -0.1])
+_wrong = st.sampled_from(["x", None, [], {}, True, [1, 2], float("inf")])
+_rare = st.sampled_from([False] * 9 + [True])
+_some = lambda values: st.lists(values, min_size=1, max_size=3)
+_growths = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("constant"), "initial_fleet": _counts}),
+    st.fixed_dictionaries({"kind": st.just("linear"), "initial_fleet": _counts,
+                           "added_per_window": _counts}),
+    st.fixed_dictionaries({"kind": st.sampled_from(["logistic", "cubic"]),
+                           "initial_fleet": _counts, "growth_rate": st.sampled_from([0.5, -1.0]),
+                           "carrying_capacity": _counts}),
+)
+_FIELDS = {
+    "model": {"p_nf": _probabilities, "p_f_given_faulty": _probabilities},
+    "evidence": {"r": _counts},
+    "query": {"n": _counts, "n_grid": _some(_counts)},
+    "prior": {"p_nf": _probabilities, "atoms": _some(st.fixed_dictionaries(
+        {"q": _probabilities, "weight": _probabilities}))},
+    "assessment": {"mode": _mostly(["conservative", "independent"], ["other"]),
+                   "groups": _some(st.fixed_dictionaries(
+                       {"group_id": _mostly(["a", "b"], [""]), "objective_count": _counts,
+                        "p_no_fault": _probabilities}))},
+    "bootstrap": {"growth": _growths, "demands_per_aircraft_per_window": _counts,
+                  "window_count": _mostly([1, 3], [0, 10**5 + 1, 10**25]),
+                  "p_nf": _probabilities, "initial_evidence": _counts,
+                  "confidence_threshold": _probabilities,
+                  "include_remaining_lifetime": st.booleans()},
+    "sweep": {"p_nf": _some(_probabilities), "r": _some(_counts), "n": _some(_counts)},
+}
+_SECTIONS = {"predict": ["model", "evidence", "query", "prior"], "survival": ["model", "query"],
+             "bootstrap": ["bootstrap"], "assess": ["assessment"], "sweep": ["sweep"]}
+_ints = _mostly(["1", "3", "1000"], ["0", "-1", str(10**30), str(2**1022), "1.5", ""])
+_floats = _mostly(["0.5", "0.9", "1"], ["0", "-0.0", "1.5", "nan", "1e999", "abc"])
+_int_lists = _mostly(["1,3", "1000"], ["0,1", "-1", f"1,{2**1022}", "1.5", ""])
+_float_lists = _mostly(["0.5,0.9", "0.9"], ["0,1", "1.5", "nan", "x"])
+# Inline flags per subcommand; bootstrap and assess take only --scenario.
+_FLAGS = {
+    "predict": {"--p-nf": _floats, "--r": _ints, "--n": _ints},
+    "survival": {"--p-nf": _floats, "--p-fail": _floats, "--n": _ints,
+                 # Monte Carlo runs stay small; 10**10 trials are refused.
+                 "--mc-trials": _mostly(["0", "100"], ["-1", str(10**10)]), "--seed": _ints},
+    "bootstrap": {},
+    "assess": {},
+    "sweep": {"--p-nf": _float_lists, "--r": _int_lists, "--n": _int_lists},
+}
+
+
+@st.composite
+def _sections(draw, name):
+    """One section: each key valid, of a wrong type or missing, now and then an unknown key."""
+    if draw(_rare):
+        return draw(_wrong)
+    section = {}
+    for key, valid in _FIELDS[name].items():
+        how = draw(_mostly(["valid"], ["wrong", "missing"]))
+        if how != "missing":
+            section[key] = draw(valid if how == "valid" else _wrong)
+    if draw(_rare):
+        section["unknown"] = 1
+    return section
+
+
+@st.composite
+def _invocations(draw, directory):
+    """argv for one run: a scenario file (valid, broken or missing), inline flags, or both."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = _FLAGS[command]
+    argv = [command]
+    inline = bool(flags) and draw(st.booleans())
+    if not inline or draw(_rare):
+        names = [name for name in _SECTIONS[command] if not draw(_rare)]
+        if draw(_rare):
+            names += draw(st.lists(st.sampled_from(sorted(_FIELDS)), max_size=2, unique=True))
+        raw = {name: draw(_sections(name)) for name in names}
+        if draw(_rare):
+            raw["unknown"] = {}
+        text = draw(_mostly([yaml.safe_dump(raw)], ["model: [unclosed\n", "- 1\n"]))
+        path = directory / "scenario.yaml"
+        path.write_text(text, encoding="utf-8")
+        argv += ["--scenario", str(directory / "missing" if draw(_rare) else path)]
+    if inline:
+        for flag in sorted(flags):
+            if not draw(_rare) or flag in ("--mc-trials", "--seed"):
+                argv.append(f"{flag}={draw(flags[flag])}")
+    if command in ("bootstrap", "sweep") and draw(st.booleans()):
+        name = draw(_mostly(["out.csv"], ["missing/out.csv"]))
+        argv.append(f"--csv={directory / name}")
+    return argv
+
+
+class TestContract:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_every_run_keeps_the_exit_code_contract(self, tmp_path, data):
+        # Any scenario file or inline flags: an exit code in 0-5 (argparse's SystemExit
+        # counted), no other exception, short stderr lines, no stdout on exits 2-4.
+        argv = data.draw(_invocations(tmp_path), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        event(f"exit {code}")
+        assert code in range(6), (code, err.getvalue())
+        assert all(len(line) <= 200 for line in err.getvalue().splitlines()), err.getvalue()
+        if code in (2, 3, 4):
+            assert out.getvalue() == "", (code, err.getvalue())

@@ -33,7 +33,7 @@ fleet_scenarios = st.builds(
     FleetScenario,
     growth=growths,
     demands_per_aircraft_per_window=log_counts(6.0),
-    window_count=st.integers(0, 6),
+    window_count=st.integers(1, 6),
     p_nf=scenario_p_nf,
     initial_evidence=st.one_of(st.just(0), log_counts(12.0)),
     confidence_threshold=st.floats(0.0, 1.0),
@@ -130,10 +130,10 @@ class TestDemandsInWindow:
 
 
 class TestRunBootstrap:
-    def test_empty_scenario(self):
-        trace = run_bootstrap(constant_scenario(window_count=0))
-        assert trace.windows == ()
-        assert trace.cumulative_demands == 0
+    def test_zero_windows_raises(self):
+        # A run of no windows checks nothing, so it can give no verdict.
+        with pytest.raises(ValueError, match=r"^window_count must be >= 1, got 0$"):
+            constant_scenario(window_count=0)
 
     def test_certain_fault_freeness_always_passes(self):
         trace = run_bootstrap(constant_scenario(p_nf=1.0, window_count=5))
@@ -181,7 +181,6 @@ class TestRunBootstrap:
 
     @given(fleet_scenarios)
     @example(constant_scenario(p_nf=1e-300, initial_evidence=0, include_remaining_lifetime=True))
-    @example(constant_scenario(window_count=0, include_remaining_lifetime=True))
     @settings(max_examples=60, deadline=None)
     def test_windows_match_single_calls_bit_for_bit(self, scenario):
         trace = run_bootstrap(scenario)
@@ -264,13 +263,6 @@ class TestRunBootstrap:
 
 
 class TestCheckFeasibility:
-    def test_empty_trace_passes_vacuously(self):
-        verdict = check_feasibility(run_bootstrap(constant_scenario(window_count=0)))
-        assert verdict.all_windows_pass
-        assert verdict.first_failing_window is None
-        assert verdict.minimum_margin is None
-        assert verdict.final_cumulative_demands == 0
-
     def test_margin_against_threshold(self):
         trace = run_bootstrap(constant_scenario(p_nf=1.0, window_count=3))
         verdict = check_feasibility(trace)
@@ -296,3 +288,13 @@ class TestCheckFeasibility:
         assert verdict.all_windows_pass == all(passes)
         margins = [float(p.lower_bound) - float(trace.threshold) for p in recomputed]
         assert verdict.minimum_margin == pytest.approx(min(margins), abs=1e-15)
+
+    @given(fleet_scenarios)
+    @settings(max_examples=20, deadline=None)
+    def test_every_verdict_has_a_float_margin(self, scenario):
+        trace = run_bootstrap(scenario)
+        verdict = check_feasibility(trace)
+        margins = [w.prediction.lower_bound - trace.threshold for w in trace.windows]
+        assert type(verdict.minimum_margin) is float
+        assert verdict.minimum_margin == min(margins)
+        assert verdict.all_windows_pass == (verdict.minimum_margin >= 0.0)

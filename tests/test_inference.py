@@ -14,7 +14,6 @@ from certbound import inference
 from certbound.cli import SWEEP_CSV_HEADER
 from certbound.fleet import ConstantGrowth, FleetScenario, run_bootstrap
 from certbound.inference import (
-    DegenerateConditioningError,
     DiscretePrior,
     SurvivalPrediction,
     grid_worst_case,
@@ -312,23 +311,24 @@ class TestWorstCase:
             assert abs(mp.mpf(bound) - exact) <= tol, (p_nf, r, n, bound, exact)
 
     def test_stationarity_root_step_cap_raises(self, monkeypatch):
-        # (0.9, 10**3, 10**4) takes 2 evaluations, so a cap of 1 refuses it.
+        # (0.9, 10**3, 10**4) has t* > 1/2 and takes 3 evaluations; (0.1, 1, 1) has
+        # t* <= 1/2 and takes 4.  So a cap of 1 refuses each, in either loop.
         monkeypatch.setattr(inference, "_NEWTON_STEP_CAP", 1)
-        with pytest.raises(ArithmeticError):
-            worst_case_survival(0.9, 10**3, 10**4)
-        with pytest.raises(ArithmeticError):
-            sweep([0.9], [10**3], [10**4])
-        scenario = FleetScenario(ConstantGrowth(10), 10**3, 1, 0.9, 10**3, 0.5)
-        with pytest.raises(ArithmeticError):
-            run_bootstrap(scenario)
+        for p_nf, r, n in [(0.9, 10**3, 10**4), (0.1, 1, 1)]:
+            with pytest.raises(ArithmeticError):
+                worst_case_survival(p_nf, r, n)
+            with pytest.raises(ArithmeticError):
+                sweep([p_nf], [r], [n])
+            scenario = FleetScenario(ConstantGrowth(1), n, 1, p_nf, r, 0.5)
+            with pytest.raises(ArithmeticError):
+                run_bootstrap(scenario)
 
     @given(grid_p_nf, grid_counts, grid_counts)
     @example([0.0361], [7462339471], [2])
     @example([1e-300], [10**12], [1])
     @settings(max_examples=60, deadline=None)
     def test_stationarity_root_takes_at_most_12_steps(self, p_nfs, rs, ns):
-        # The closed form takes at most 5 evaluations over 80,000 random cells; the
-        # x-form root took up to 28 from its old start x = -c1/n at (1e-300, 10**12, 1).
+        # The closed form takes at most 5 evaluations over 80,000 random cells.
         with mock.patch.object(inference, "_NEWTON_STEP_CAP", 12):
             sweep(p_nfs, rs, ns)
 
@@ -477,7 +477,7 @@ class TestDiscretePrior:
     def test_degenerate_conditioning_raises(self):
         prior = DiscretePrior(p_nf=0.0, atoms=((1.0, 1.0),))
         for r, n in [(1, 1), (5, 3), (5, 0), (2**1021, 1)]:
-            with pytest.raises(DegenerateConditioningError):
+            with pytest.raises(ValueError, match="prior assigns probability 0"):
                 posterior_predictive_discrete(prior, r, n)
 
     def test_zero_p_nf_with_evidence_past_float_range(self):

@@ -15,12 +15,11 @@ EXPORTED = {
     # assessment
     "ASSURANCE_LEVEL_OBJECTIVES", "ObjectiveGroupAssessment", "aggregate_fault_freeness",
     # fleet
-    "BootstrapTrace", "ConstantGrowth", "FeasibilityVerdict", "FleetGrowthModel",
-    "FleetScenario", "LinearGrowth", "LogisticGrowth", "WindowRecord",
-    "check_feasibility", "run_bootstrap",
+    "BootstrapTrace", "ConstantGrowth", "FeasibilityVerdict", "FleetScenario",
+    "LinearGrowth", "LogisticGrowth", "WindowRecord", "check_feasibility", "run_bootstrap",
     # inference
-    "DegenerateConditioningError", "DiscretePrior", "SurvivalPrediction", "grid_worst_case",
-    "posterior_predictive_discrete", "sweep", "worst_case_survival",
+    "DiscretePrior", "SurvivalPrediction", "grid_worst_case", "posterior_predictive_discrete",
+    "sweep", "worst_case_survival",
     # reliability
     "InfeasibleScaleError", "MixtureModel", "MonteCarloEstimate", "check_demand_count",
     "check_probability", "monte_carlo_survival", "pfd", "survival_probability",
