@@ -96,8 +96,9 @@ class SurvivalPrediction:
         return self.lower_bound - self.p_nf
 
 
+# The row kernel's hot names; expm1 stays on math, where a test wraps it to read the root.
 # _rows fills each record's __dict__: an item write assigns no attribute, so __setattr__ never runs.
-_new = object.__new__
+_new, _exp, _log, _log1p = object.__new__, math.exp, math.log, math.log1p
 
 
 @functools.lru_cache(maxsize=1)
@@ -183,38 +184,40 @@ def _rows(p_nfs: Iterable[float], pairs: Iterable[tuple[int, int]]) -> list[Surv
         t* > 1/2:  E = J*u*(3*lam + 2*|M| + 5*s1*|log t| + 10) + 7u/4*c + u/2
         t* <= 1/2: E = J*u*(3*lam + |M| + 2*(|K| + l + s1 + |log c|) + 5*s1*|log t| + 6) + 7u/4*t
     """
+    # Bound once per call, not per cell; the cap is read per call because tests patch it.
+    steps, lo, hi = range(_NEWTON_STEP_CAP), -_STEP_TOL, _STEP_TOL
     terms = []
     for r, n in pairs:
         if r == 0 or n == 0:
             terms.append((r, n) + (math.nan,) * 7)
         else:
-            s, c1 = r / n, math.log1p(n / r)
-            l = math.log1p(s)
+            s, c1 = r / n, _log1p(n / r)
+            l = _log1p(s)
             terms.append((r, n, c1, float(n), 1.0 + s, l, l - _LOG2, s * _LOG2 + l, -s * c1))
     rows = []
     for a in p_nfs:
         interior = 0.0 < a < 1.0
         if interior:
-            d = math.log1p(-a) - math.log(a)
+            d = _log1p(-a) - _log(a)
         for r, n, c1, n_f, s1, l, w_cap, m_half, m_rn in terms:
             if interior and r and n:
                 m = d + m_rn
                 if m < m_half:  # t* > 1/2: solve for w = log(s1*c), c = 1 - t*
                     if m > 1.0:
-                        y = math.log(m)
+                        y = _log(m)
                         w = y - y / m
                     else:
-                        y = math.exp(m)
+                        y = _exp(m)
                         w = m - y * (2.0 + y) / (2.0 + 3.0 * y)
-                    for _ in range(_NEWTON_STEP_CAP):
+                    for _ in steps:
                         if w > w_cap:
                             w = w_cap
-                        e = math.exp(w)
+                        e = _exp(w)
                         c = e / s1
                         t = 1.0 - c
-                        log_t = math.log1p(-c)
+                        log_t = _log1p(-c)
                         step = (w - s1 * log_t - m) / (1.0 + e / t)
-                        if -_STEP_TOL <= step <= _STEP_TOL:
+                        if lo <= step <= hi:
                             break
                         w -= step
                     else:
@@ -224,17 +227,18 @@ def _rows(p_nfs: Iterable[float], pairs: Iterable[tuple[int, int]]) -> list[Surv
                 else:  # t* <= 1/2: solve for v = log t*
                     k = m - l
                     v = -k / s1 if k > s1 * _LOG2 else -_LOG2
-                    for _ in range(_NEWTON_STEP_CAP):
-                        t = math.exp(v)
-                        step = (math.log1p(-t) - s1 * v - k) / (s1 + t / (1.0 - t))
-                        if -_STEP_TOL <= step <= _STEP_TOL:
+                    for _ in steps:
+                        t = _exp(v)
+                        step = (_log1p(-t) - s1 * v - k) / (s1 + t / (1.0 - t))
+                        if lo <= step <= hi:
                             break
                         v += step
                     else:
                         raise ArithmeticError(f"closed form took over {_NEWTON_STEP_CAP} steps")
                     log_t = v + step
                     g = t + step * t
-                bound, q = a if g < a else 1.0 if g > 1.0 else g, -math.expm1((log_t - c1) / n_f)
+                bound = a if g < a else 1.0 if g > 1.0 else g
+                q = -math.expm1((log_t - c1) / n_f)
             elif n == 0 or a == 1.0:
                 bound, q = 1.0, 0.0
             else:  # r == 0 or a == 0: the floor

@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import inspect
 import math
 import pickle
+import random
 from unittest import mock
 
 import mpmath as mp
@@ -541,7 +543,29 @@ class TestDiscretePrior:
             assert exact >= bound - 1e-9, (p_nf, r, n, prior.atoms)
 
 
+# sha1 of float.hex of every row's lower_bound and worst_case_q, in row order, over the seeded
+# grid of test_kernel_bits_are_pinned, recorded at f371b61.  A change that moves these bits on
+# purpose updates this digest and lists the moved values in CHANGED (test_golden.py) and in
+# CHANGES.md.  A libm that rounds exp or log differently would move it too.
+KERNEL_BITS_SHA1 = "5584f08931cedaf61a64dd8782f02c14c1a4c515"
+
+
 class TestSweep:
+    def test_kernel_bits_are_pinned(self):
+        # 8,000 cells over the README's domain: its corners and seeded log-uniform values.
+        rng = random.Random(2014)
+        p_grid = [0.0, 1e-300, 1e-15, 0.1, 0.5, 1.0 - 1e-15, 1.0]
+        p_grid += [10.0 ** rng.uniform(-300.0, math.log10(0.5)) for _ in range(7)]
+        p_grid += [1.0 - 10.0 ** rng.uniform(-15.0, math.log10(0.5)) for _ in range(6)]
+        r_grid = [0, 1, 10**6, 10**12] + [round(10.0 ** rng.uniform(0.0, 12.0)) for _ in range(16)]
+        n_grid = [0, 1, 10**6, 10**12] + [round(10.0 ** rng.uniform(0.0, 12.0)) for _ in range(16)]
+        rows = sweep(p_grid, r_grid, n_grid)
+        assert len(rows) == 8000
+        digest = hashlib.sha1()
+        for row in rows:
+            digest.update(f"{row.lower_bound.hex()} {row.worst_case_q.hex()}\n".encode())
+        assert digest.hexdigest() == KERNEL_BITS_SHA1
+
     def test_single_floor_cell(self):
         rows = sweep([0.9], [0], [10**6])
         assert len(rows) == 1
